@@ -24,6 +24,8 @@ from .errors import (
     DiamondViolation,
     FieldNotSplit,
     FlagcohError,
+    InvalidCartanMatrix,
+    InvariantViolated,
     OddSquaredDegree,
     UnsupportedType,
     Unsolvable,

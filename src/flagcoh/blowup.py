@@ -75,14 +75,6 @@ def blowup_count(w, eps, cartan: CartanMatrix) -> int:
     return count
 
 
-def accumulated_signs(w, eps, cartan: CartanMatrix) -> Signs:
-    """Final vector of the walk, i.e. w^{-1} eps."""
-    eps = sign_vector(eps, cartan.rank)
-    for i in _word_of(w):
-        eps = reflect_signs(i, eps, cartan)
-    return eps
-
-
 def dual_blowup_count(w, eps, cartan: CartanMatrix) -> int:
     """Blow-up count for the transposed Cartan matrix (the dual system)."""
     return blowup_count(w, eps, cartan.transposed())

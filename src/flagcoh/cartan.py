@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import InvalidCartanMatrix
 from .intmat import Matrix, det, transpose
 
 _FAMILIES = "ABCDEFG"
@@ -64,11 +65,16 @@ class CartanMatrix:
     def __post_init__(self):
         c = self.entries
         l = len(c)
-        assert all(len(row) == l for row in c)
-        assert all(c[i][i] == 2 for i in range(l))
-        assert all(c[j][i] <= 0 for j in range(l) for i in range(l) if i != j)
-        assert all((c[j][i] == 0) == (c[i][j] == 0) for j in range(l) for i in range(l))
-        assert det(c) != 0
+        if any(len(row) != l for row in c):
+            raise InvalidCartanMatrix(f"not square: {c}")
+        if any(c[i][i] != 2 for i in range(l)):
+            raise InvalidCartanMatrix(f"diagonal entries must be 2: {c}")
+        if any(c[j][i] > 0 for j in range(l) for i in range(l) if i != j):
+            raise InvalidCartanMatrix(f"off-diagonal entries must be <= 0: {c}")
+        if any((c[j][i] == 0) != (c[i][j] == 0) for j in range(l) for i in range(l)):
+            raise InvalidCartanMatrix(f"zero pattern must be symmetric: {c}")
+        if det(c) == 0:
+            raise InvalidCartanMatrix(f"singular: {c}")
 
     @property
     def rank(self) -> int:

@@ -4,17 +4,24 @@ Graph edges become matrix entries +-2.  Signs are solved over GF(2) so
 that consecutive differentials compose to zero: every complete diamond
 (the two cover paths through a length-2 Bruhat interval) contributes one
 parity equation, and a spanning forest of the graph is gauged to +.
+
+The differential only has entries on graph edges, so the complex is
+block-diagonal over the graph's connected components; it is solved and
+reduced one component at a time.  Within a component, the rank of each
+layer block is aligned with the GF(2) rank of its support by an
+exhaustive search over the component's GF(2) solution space, so
+Unsolvable means that no valid signs exist.  Cohomology sums the Smith
+forms of the per-component layer blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .blowup import Signs, format_signs, sign_vector
 from .errors import DiamondViolation, Unsolvable
-from .graph import IncidenceGraph, build_graph
-from .snf import smith_diagonal
+from .graph import IncidenceGraph, _word_label, build_graph, spanning_forest
+from .snf import rank, smith_diagonal
 from .weyl import WeylGroup
 
 
@@ -24,6 +31,7 @@ class ChainComplex:
     eps: Signs
     degree_elements: tuple[tuple[int, ...], ...]  # element indices per length
     diffs: tuple[tuple[tuple[int, ...], ...], ...]  # diffs[k]: C^k -> C^{k+1}
+    components: tuple[tuple[int, ...], ...]  # graph components: diffs split over them
 
     @property
     def top_degree(self) -> int:
@@ -138,11 +146,21 @@ def _kernel_basis_gf2(equations, nvars: int) -> list[int]:
     return basis
 
 
+def _layer_slots(group: WeylGroup, comp) -> dict[int, list[int]]:
+    """One component's vertices grouped by length, in ascending index."""
+    els = group.elements
+    slots: dict[int, list[int]] = {}
+    for v in comp:
+        slots.setdefault(els[v].length, []).append(v)
+    return slots
+
+
 def assign_signs(graph: IncidenceGraph, gauge: str = "forward") -> ChainComplex:
     """Pick +-2 per edge so the differential squares to zero, then verify.
 
     gauge picks the spanning-forest orientation ("forward" or "reverse"
     canonical edge order); any valid gauge must yield the same cohomology.
+    Each graph component is solved on its own (see _solve_component).
     """
     bad = diamond_check(graph)
     if bad:
@@ -153,187 +171,94 @@ def assign_signs(graph: IncidenceGraph, gauge: str = "forward") -> ChainComplex:
         edges = list(reversed(edges))
     elif gauge != "forward":
         raise ValueError(f"unknown gauge {gauge!r}")
-    pos = {e: k for k, e in enumerate(edges)}
 
-    equations = []
     # spanning forest over the undirected graph: tree edges are forced to +
-    parent = list(range(graph.vertex_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    comps, tree = spanning_forest(range(graph.vertex_count), edges)
+    comp_of = {v: c for c, vs in enumerate(comps) for v in vs}
+    comp_edges: list[list[tuple[int, int]]] = [[] for _ in comps]
     for e in edges:
-        ri, rj = find(e[0]), find(e[1])
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-            equations.append((1 << pos[e], 0))
-    # one parity equation per interval with both paths complete
+        comp_edges[comp_of[e[0]]].append(e)
+    # local bit positions keep the global relative order, so each component
+    # gets the same GF(2) pivots and solution as one global system would
+    pos = {e: k for es in comp_edges for k, e in enumerate(es)}
+    equations: list[list[tuple[int, int]]] = [[] for _ in comps]
+    for e in tree:
+        equations[comp_of[e[0]]].append((1 << pos[e], 0))
+    # one parity equation per interval with both paths complete; its four
+    # edges share one component
     for (_, _), plist in sorted(_diamonds(graph).items()):
         complete = [(e1, e2) for e1, e2, c in plist if c]
         if complete:
             (a1, a2), (b1, b2) = complete
             mask = (1 << pos[a1]) ^ (1 << pos[a2]) ^ (1 << pos[b1]) ^ (1 << pos[b2])
-            equations.append((mask, 1))
-
-    bits = _solve_gf2(equations, len(edges))
-    if bits is None:
-        raise Unsolvable(
-            f"no consistent sign assignment for {graph.group.lie_type} "
-            f"eps={format_signs(graph.eps)}"
-        )
-    bits = _align_layer_ranks(graph, edges, equations, bits)
+            equations[comp_of[a1[0]]].append((mask, 1))
 
     layers = graph.group.by_length()
     layer_pos = [{v: a for a, v in enumerate(layer)} for layer in layers]
-    top = len(layers) - 1
-    diffs = []
-    for k in range(top):
-        rows = [[0] * len(layers[k]) for _ in layers[k + 1]]
-        diffs.append(rows)
-    for e, bit in zip(edges, bits):
-        i, j = e
-        k = els[i].length
-        diffs[k][layer_pos[k + 1][j]][layer_pos[k][i]] = -2 if bit else 2
+    diffs = [[[0] * len(layers[k]) for _ in layers[k + 1]] for k in range(len(layers) - 1)]
+    for comp, es, eqs in zip(comps, comp_edges, equations):
+        packed = _solve_component(graph, comp, es, eqs)
+        for p, (i, j) in enumerate(es):
+            k = els[i].length
+            diffs[k][layer_pos[k + 1][j]][layer_pos[k][i]] = -2 if (packed >> p) & 1 else 2
     diffs = tuple(tuple(tuple(r) for r in m) for m in diffs)
 
-    cc = ChainComplex(graph.group, graph.eps, tuple(tuple(l) for l in layers), diffs)
+    cc = ChainComplex(
+        graph.group, graph.eps, tuple(tuple(l) for l in layers), diffs, tuple(comps)
+    )
     _verify_square_zero(cc)
     return cc
 
 
-def _f2_rank(masks) -> int:
-    pivots: dict[int, int] = {}
-    for m in masks:
-        while m:
-            c = m.bit_length() - 1
-            if c not in pivots:
-                pivots[c] = m
-                break
-            m ^= pivots[c]
-    return len(pivots)
-
-
-def _rational_rank(rows) -> int:
-    a = [[Fraction(x) for x in row] for row in rows if any(row)]
-    if not a:
-        return 0
-    ncols = len(a[0])
-    rank = 0
-    col = 0
-    while rank < len(a) and col < ncols:
-        piv = next((i for i in range(rank, len(a)) if a[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][col]
-        for i in range(rank + 1, len(a)):
-            if a[i][col]:
-                f = a[i][col] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
-def _align_layer_ranks(graph: IncidenceGraph, edges, equations, bits):
-    """Flip solution-space directions until each layer's rational rank equals
-    the GF(2) rank of its (sign-free) support.
+def _solve_component(graph: IncidenceGraph, comp, edges, equations) -> int:
+    """Packed sign bits (bit p set = edge p gets -) for one component.
 
     The diamond equations never see a cycle that stays between two adjacent
-    length layers, so its sign product is a free invariant; the underlying
-    cell structure has exponent-2 torsion, which forces the rational rank of
-    every differential down to the mod-2 rank.  Greedy over the kernel basis
-    (then pairs) is enough at enumerable scale; a leftover excess is a
-    genuine inconsistency and is surfaced.
+    length layers, so its sign product is free; the underlying cell
+    structure has exponent-2 torsion, which forces the rational rank of
+    every layer block down to the GF(2) rank of its sign-free support.  All
+    2^k combinations of the GF(2) kernel are tried, so Unsolvable means no
+    valid signs exist for this component.
     """
-    els = graph.group.elements
-    nlayers = graph.group.longest.length + 1
-    layer_edges: list[list[int]] = [[] for _ in range(nlayers - 1)]
-    for pos, (i, _) in enumerate(edges):
-        layer_edges[els[i].length].append(pos)
-    layer_pos = [
-        {v: a for a, v in enumerate(layer)} for layer in graph.group.by_length()
-    ]
+    slots = _layer_slots(graph.group, comp)
+    local = {v: a for vs in slots.values() for a, v in enumerate(vs)}
+    layer_edges: dict[int, list[int]] = {}
+    for p, (i, _) in enumerate(edges):
+        layer_edges.setdefault(graph.group.elements[i].length, []).append(p)
 
-    def layer_rows(k: int, bits) -> list[list[int]]:
-        rows = [
-            [0] * len(layer_pos[k])
-            for _ in range(len(layer_pos[k + 1]))
-        ]
-        for pos in layer_edges[k]:
-            i, j = edges[pos]
-            rows[layer_pos[k + 1][j]][layer_pos[k][i]] = -1 if (bits >> pos) & 1 else 1
+    def block(k: int, packed: int) -> list[list[int]]:
+        rows = [[0] * len(slots[k]) for _ in slots[k + 1]]
+        for p in layer_edges[k]:
+            i, j = edges[p]
+            rows[local[j]][local[i]] = -1 if (packed >> p) & 1 else 1
         return rows
 
-    packed = 0
-    for pos, b in enumerate(bits):
-        if b:
-            packed |= 1 << pos
-    active = [k for k in range(nlayers - 1) if layer_edges[k]]
+    # per layer, the GF(2) rank of the sign-free support (rows as bit masks)
     targets = {}
-    for k in active:
-        rows = layer_rows(k, 0)
-        targets[k] = _f2_rank(
-            [sum(1 << c for c, x in enumerate(row) if x) for row in rows]
-        )
-
-    layer_of_pos = {}
-    for k in active:
-        for pos in layer_edges[k]:
-            layer_of_pos[pos] = k
-
-    def touched_layers(mask: int) -> set[int]:
-        out = set()
-        while mask:
-            bit = mask & -mask
-            out.add(layer_of_pos[bit.bit_length() - 1])
-            mask ^= bit
-        return out
-
-    def reranked(base: dict[int, int], bits_packed: int, layers) -> dict[int, int]:
-        r = dict(base)
-        for k in layers:
-            r[k] = _rational_rank(layer_rows(k, bits_packed))
-        return r
-
-    current = reranked({}, packed, active)
-    excess = sum(current[k] - targets[k] for k in active)
-    if excess == 0:
-        return bits
-    kernel = [v for v in _kernel_basis_gf2(equations, len(edges)) if v]
-    supports = [touched_layers(v) for v in kernel]
-    improved = True
-    while excess > 0 and improved:
-        improved = False
-        for va, sup in zip(kernel, supports):
-            cand = packed ^ va
-            r = reranked(current, cand, sup)
-            e = sum(r[k] - targets[k] for k in active)
-            if e < excess:
-                packed, current, excess, improved = cand, r, e, True
-                break
-        if improved or excess == 0:
-            continue
-        for a in range(len(kernel)):
-            for b in range(a + 1, len(kernel)):
-                cand = packed ^ kernel[a] ^ kernel[b]
-                r = reranked(current, cand, supports[a] | supports[b])
-                e = sum(r[k] - targets[k] for k in active)
-                if e < excess:
-                    packed, current, excess, improved = cand, r, e, True
-                    break
-            if improved:
-                break
-    if excess > 0:
-        raise Unsolvable(
-            f"sign assignment for {graph.group.lie_type} "
-            f"eps={format_signs(graph.eps)} cannot reach the mod-2 ranks"
-        )
-    return [(packed >> pos) & 1 for pos in range(len(edges))]
+    for k in layer_edges:
+        masks = [(sum(1 << c for c, x in enumerate(row) if x), 0) for row in block(k, 0)]
+        targets[k] = len(_eliminate_gf2(masks))
+    where = (
+        f"{graph.group.lie_type} eps={format_signs(graph.eps)}, component of "
+        f"{_word_label(graph.group.elements[comp[0]].word)}"
+    )
+    bits = _solve_gf2(equations, len(edges))
+    if bits is None:
+        raise Unsolvable(f"no consistent sign assignment for {where}")
+    base = sum(b << p for p, b in enumerate(bits))
+    kernel = _kernel_basis_gf2(equations, len(edges))
+    for combo in range(1 << len(kernel)):
+        packed = base
+        for a, vec in enumerate(kernel):
+            if (combo >> a) & 1:
+                packed ^= vec
+        miss = next((k for k in sorted(layer_edges) if rank(block(k, packed)) != targets[k]), None)
+        if miss is None:
+            return packed
+    raise Unsolvable(
+        f"sign assignment for {where}: none of the 2^{len(kernel)} kernel combinations "
+        f"reaches the mod-2 rank of the C^{miss} -> C^{miss + 1} block"
+    )
 
 
 def _verify_square_zero(cc: ChainComplex) -> None:
@@ -358,16 +283,28 @@ def complex_for(group_or_type, eps, gauge: str = "forward") -> ChainComplex:
 
 
 def cohomology_of_complex(cc: ChainComplex) -> CohomologyGroups:
+    """Smith forms of each component's layer blocks, summed per degree."""
     dims = cc.dims()
     top = cc.top_degree
-    snf = [smith_diagonal(m) if m else [] for m in cc.diffs]
-    ranks = [len([d for d in s if d]) for s in snf]
+    layer_pos = [{v: a for a, v in enumerate(layer)} for layer in cc.degree_elements]
+    ranks = [0] * top
+    divisors: list[list[int]] = [[] for _ in range(top)]
+    for comp in cc.components:
+        slots = _layer_slots(cc.group, comp)
+        for k in slots:
+            if k + 1 not in slots:
+                continue
+            cols = [layer_pos[k][v] for v in slots[k]]
+            block = [[cc.diffs[k][layer_pos[k + 1][v]][c] for c in cols] for v in slots[k + 1]]
+            diag = smith_diagonal(block)
+            ranks[k] += len([d for d in diag if d])
+            divisors[k] += [d for d in diag if d > 1]
     groups = []
     for k in range(top + 1):
         r_out = ranks[k] if k < top else 0
         r_in = ranks[k - 1] if k > 0 else 0
         free = dims[k] - r_out - r_in
-        tors = tuple(sorted(d for d in (snf[k - 1] if k > 0 else []) if d > 1))
+        tors = tuple(sorted(divisors[k - 1])) if k > 0 else ()
         groups.append((free, tors))
     return CohomologyGroups(tuple(groups))
 

@@ -5,6 +5,14 @@ class FlagcohError(Exception):
     """Base class for every failure raised by this package."""
 
 
+class InvalidCartanMatrix(FlagcohError):
+    """Entries do not form a generalized Cartan matrix of finite type."""
+
+
+class InvariantViolated(FlagcohError):
+    """An exact computation broke an identity it guarantees (a bug, not bad input)."""
+
+
 class CapExceeded(FlagcohError):
     """Requested Weyl group is larger than the enumeration cap."""
 

@@ -58,9 +58,13 @@ def build_graph(group_or_type, eps) -> IncidenceGraph:
     )
 
 
-def components(graph: IncidenceGraph) -> list[tuple[int, ...]]:
-    """Undirected connected components, each a sorted vertex tuple."""
-    parent = list(range(graph.vertex_count))
+def spanning_forest(vertices, edges) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:
+    """Scan edges in order with one union-find over the given vertices.
+
+    Returns the connected components (sorted vertex tuples, sorted) and the
+    tree edges: those that joined two components when scanned, in scan order.
+    """
+    parent = {v: v for v in vertices}
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -68,36 +72,29 @@ def components(graph: IncidenceGraph) -> list[tuple[int, ...]]:
             x = parent[x]
         return x
 
-    for i, j in graph.edges:
-        ri, rj = find(i), find(j)
+    tree = []
+    for e in edges:
+        ri, rj = find(e[0]), find(e[1])
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
+            tree.append(e)
     buckets: dict[int, list[int]] = {}
-    for v in range(graph.vertex_count):
+    for v in parent:
         buckets.setdefault(find(v), []).append(v)
-    return sorted(tuple(sorted(vs)) for vs in buckets.values())
+    return sorted(tuple(sorted(vs)) for vs in buckets.values()), tree
+
+
+def components(graph: IncidenceGraph) -> list[tuple[int, ...]]:
+    """Undirected connected components, each a sorted vertex tuple."""
+    return spanning_forest(range(graph.vertex_count), graph.edges)[0]
 
 
 def negative_components(graph: IncidenceGraph) -> int:
     """Components of the subgraph induced on the all-minus-stable vertices."""
     minus = all_minus(graph.group.rank)
-    inside = [v for v in range(graph.vertex_count) if graph.final_signs[v] == minus]
-    keep = set(inside)
-    pos = {v: k for k, v in enumerate(inside)}
-    parent = list(range(len(inside)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in graph.edges:
-        if i in keep and j in keep:
-            ri, rj = find(pos[i]), find(pos[j])
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    return len({find(k) for k in range(len(inside))})
+    inside = {v for v in range(graph.vertex_count) if graph.final_signs[v] == minus}
+    induced = [(i, j) for i, j in graph.edges if i in inside and j in inside]
+    return len(spanning_forest(inside, induced)[0])
 
 
 def _word_label(word) -> str:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InvariantViolated
+
 Matrix = tuple[tuple[int, ...], ...]
 
 
@@ -18,10 +20,6 @@ def transpose(m: Matrix) -> Matrix:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = tuple(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
-def mat_vec(a: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
 def det(m: Matrix) -> int:
@@ -43,7 +41,8 @@ def det(m: Matrix) -> int:
     value = Fraction(sign)
     for k in range(n):
         value *= a[k][k]
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise InvariantViolated(f"determinant of an integer matrix came out as {value}")
     return int(value)
 
 

@@ -99,10 +99,6 @@ class MultiPoly:
             raise ValueError("zero polynomial has no minimal degree")
         return min(sum(e) for e in self.terms)
 
-    def lowest_form(self) -> "MultiPoly":
-        d = self.min_total_degree()
-        return MultiPoly(self.vars, {e: c for e, c in self.terms.items() if sum(e) == d})
-
     def degree_in(self, name) -> int:
         """Degree in one variable; zero polynomial gives -1."""
         if not self.terms:

@@ -25,7 +25,6 @@ from .weyl import DEFAULT_CAP, enumerate_group, longest_element, positive_root_c
 _TABLE_LIMIT = 60_000
 # cover enumeration is quadratic-ish in practice; E6 alone would add a minute
 _GRAPH_LIMIT = 10_000
-_COHOMOLOGY_LIMIT = 1_200
 
 _KNOWN_COMPONENTS = {"A2": 4, "A3": 10, "B3": 17}
 
@@ -140,12 +139,8 @@ def run_checks(t, cap: int | None = None) -> list[CheckResult]:
         (ok if not g.cond_c_failures else warn)(
             "cover-condition-redundancy", f"{len(g.cond_c_failures)} exceptions"
         )
-    else:
-        skip("graph-components", f"|W|={group.order} beyond graph limit")
-
-    if group.order <= _COHOMOLOGY_LIMIT:
         try:
-            groups = cohomology.integral_cohomology(group, minus)
+            groups = cohomology.cohomology_of_complex(cohomology.assign_signs(g))
         except FlagcohError as e:
             fail("cohomology", str(e))
             return out
@@ -157,7 +152,8 @@ def run_checks(t, cap: int | None = None) -> list[CheckResult]:
         (ok if divisors <= {2} else warn)("torsion-exponent-two", f"divisors {sorted(divisors)}")
         (ok if cohomology.mod2_dims(group) == tuple(dist) else fail)("mod2-dims")
     else:
-        skip("cohomology", f"|W|={group.order} beyond cohomology limit")
+        skip("graph-components", f"|W|={group.order} beyond graph limit")
+        skip("cohomology", f"|W|={group.order} beyond graph limit")
 
     if t.family in "ABCDG" and l <= 6:
         try:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cartan import CartanMatrix, LieType, cartan_matrix, positive_root_count, weyl_order
-from .errors import CapExceeded
+from .errors import CapExceeded, InvariantViolated
 from .intmat import Matrix, identity, mat_mul
 
 DEFAULT_CAP = 3_000_000
@@ -194,7 +194,8 @@ def _enumerate(family: str, rank: int, cap: int) -> WeylGroup:
                     parent_gen.append(i)
                     nxt.append(index[new])
         frontier = nxt
-    assert len(elements) == expected, (t, len(elements), expected)
+    if len(elements) != expected:
+        raise InvariantViolated(f"enumerated {len(elements)} elements of W({t}), not {expected}")
     return WeylGroup(t, cartan, elements, index, parent, parent_gen)
 
 
@@ -256,7 +257,8 @@ def longest_element(t) -> WeylElement:
         mat = _apply_update(mat, updates[i], i)
     word = tuple(reversed(peeled))
     expected = positive_root_count(t)
-    assert len(word) == expected, (t, len(word), expected)
+    if len(word) != expected:
+        raise InvariantViolated(f"w* of {t} peeled to length {len(word)}, expected {expected}")
     return WeylElement(wstar, len(word), word)
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from flagcoh.cartan import (
+    CartanMatrix,
     LieType,
     cartan_matrix,
     compact_dual_data,
@@ -9,6 +10,7 @@ from flagcoh.cartan import (
     same_up_to_relabeling,
     weyl_order,
 )
+from flagcoh.errors import FlagcohError
 from flagcoh.intmat import transpose
 
 ALL_TYPES = [
@@ -115,3 +117,9 @@ def test_order_and_root_count_consistency(name):
     assert d.dim == sum(d.degrees) + d.r
     assert positive_root_count(t) >= t.rank
     assert weyl_order(t) % 2 == 0
+
+
+def test_non_two_diagonal_raises_flagcoh_error():
+    # a raised exception, not an assert, so the check survives python -O
+    with pytest.raises(FlagcohError, match="diagonal"):
+        CartanMatrix(((2, -1), (-1, 3)))

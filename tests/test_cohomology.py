@@ -1,9 +1,12 @@
 import itertools
+import re
 
 import pytest
 
+from flagcoh import cohomology
 from flagcoh.blowup import all_minus, all_sign_vectors, blowup_poly, blowup_table
 from flagcoh.cartan import compact_dual_data
+from flagcoh.errors import Unsolvable
 from flagcoh.cohomology import (
     assign_signs,
     cohomology_of_complex,
@@ -177,3 +180,38 @@ def test_degree_zero_and_top_generators_pair_with_counts():
 def test_cohomology_of_complex_matches_high_level():
     cc = complex_for("A3", "---")
     assert cohomology_of_complex(cc).groups == integral_cohomology("A3", "---").groups
+
+
+def _dense_groups(cc):
+    """Reference groups from the Smith forms of the whole, unsplit differentials."""
+    dims, top = cc.dims(), cc.top_degree
+    snf = [smith_diagonal(m) if m else [] for m in cc.diffs]
+    ranks = [len([d for d in s if d]) for s in snf]
+    groups = []
+    for k in range(top + 1):
+        free = dims[k] - (ranks[k] if k < top else 0) - (ranks[k - 1] if k > 0 else 0)
+        tors = tuple(sorted(d for d in (snf[k - 1] if k > 0 else []) if d > 1))
+        groups.append((free, tors))
+    return tuple(groups)
+
+
+def test_per_component_snf_matches_dense_snf():
+    cases = [
+        (name, eps)
+        for name in ["A1", "A2", "A3", "B2", "B3", "C3", "G2"]
+        for eps in all_sign_vectors(int(name[1]))
+    ]
+    for name, eps in cases + [("D4", all_minus(4))]:
+        cc = complex_for(name, eps)
+        assert cohomology_of_complex(cc).groups == _dense_groups(cc), (name, eps)
+
+
+def test_unsolvable_names_component_layer_and_kernel(monkeypatch):
+    # a rank no block can have: every kernel combination misses
+    monkeypatch.setattr(cohomology, "rank", lambda rows: -1)
+    message = (
+        "sign assignment for A2 eps=--, component of 1: none of the 2^0 kernel "
+        "combinations reaches the mod-2 rank of the C^1 -> C^2 block"
+    )
+    with pytest.raises(Unsolvable, match=re.escape(message)):
+        assign_signs(build_graph("A2", "--"))

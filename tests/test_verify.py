@@ -50,3 +50,9 @@ def test_cap_override_degrades_gracefully():
     named = by_name(results)
     assert named["enumeration"].status == "skip"
     assert all_passed(results)
+
+
+def test_d5_runs_integral_cohomology():
+    named = by_name(run_checks("D5"))
+    assert named["rational-betti"].status == "pass"
+    assert named["total-betti"].status == "pass"
