@@ -7,11 +7,14 @@ parity equation, and a spanning forest of the graph is gauged to +.
 
 The differential only has entries on graph edges, so the complex is
 block-diagonal over the graph's connected components; it is solved and
-reduced one component at a time.  Within a component, the rank of each
-layer block is aligned with the GF(2) rank of its support by an
-exhaustive search over the component's GF(2) solution space, so
-Unsolvable means that no valid signs exist.  Cohomology sums the Smith
-forms of the per-component layer blocks.
+reduced one component at a time.  Within a component, signs are accepted
+when every nonzero Smith divisor of each +-1 layer block is odd, as the
+exponent-2 torsion of the cell structure demands; since B = U D V with
+U, V unimodular, hence invertible mod 2, this says rank_Q B = rank_GF2 B.
+An exhaustive search over the component's GF(2) solution space makes
+Unsolvable mean that no valid signs exist.  The accepted diagonals,
+doubled, are the Smith forms of the +-2 blocks, so cohomology only sums
+them.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from .blowup import Signs, format_signs, sign_vector
 from .errors import DiamondViolation, Unsolvable
 from .graph import IncidenceGraph, _word_label, build_graph, spanning_forest
-from .snf import rank, smith_diagonal
+from .snf import smith_diagonal
 from .weyl import WeylGroup
 
 
@@ -31,7 +34,9 @@ class ChainComplex:
     eps: Signs
     degree_elements: tuple[tuple[int, ...], ...]  # element indices per length
     diffs: tuple[tuple[tuple[int, ...], ...], ...]  # diffs[k]: C^k -> C^{k+1}
-    components: tuple[tuple[int, ...], ...]  # graph components: diffs split over them
+    # smith[k]: the nonzero Smith divisors of every component's C^k -> C^{k+1}
+    # block, pooled and sorted; SNF(2B) = 2 SNF(B), so each is 2 * odd
+    smith: tuple[tuple[int, ...], ...]
 
     @property
     def top_degree(self) -> int:
@@ -62,28 +67,22 @@ class CohomologyGroups:
 
 
 def _diamonds(graph: IncidenceGraph):
-    """Per length-2 interval (bottom, top): the two-edge cover paths and how
-    many of them lie entirely in the graph."""
-    group = graph.group
-    up = group.covers_up()
+    """Per length-2 interval (bottom, top): its two-edge cover paths that lie
+    entirely in the graph, for the intervals that have any; and the sorted
+    intervals whose count of such paths is not 2."""
+    up = graph.group.covers_up()
     edge_set = set(graph.edges)
-    paths: dict[tuple[int, int], list[tuple[tuple[int, int], tuple[int, int], bool]]] = {}
-    for i, mids in up.items():
-        for j in mids:
-            for k in up.get(j, ()):
-                complete = (i, j) in edge_set and (j, k) in edge_set
-                paths.setdefault((i, k), []).append(((i, j), (j, k), complete))
-    return paths
+    paths: dict[tuple[int, int], list[tuple[tuple[int, int], tuple[int, int]]]] = {}
+    for i, j in graph.edges:
+        for k in up.get(j, ()):
+            if (j, k) in edge_set:
+                paths.setdefault((i, k), []).append(((i, j), (j, k)))
+    return paths, tuple(ik for ik, plist in sorted(paths.items()) if len(plist) != 2)
 
 
 def diamond_check(graph: IncidenceGraph) -> tuple[tuple[int, int], ...]:
     """Length-2 intervals whose complete in-graph path count is not 0 or 2."""
-    bad = []
-    for (i, k), plist in sorted(_diamonds(graph).items()):
-        complete = sum(1 for _, _, c in plist if c)
-        if complete not in (0, 2):
-            bad.append((i, k))
-    return tuple(bad)
+    return _diamonds(graph)[1]
 
 
 def _eliminate_gf2(equations) -> dict[int, tuple[int, int]] | None:
@@ -104,55 +103,26 @@ def _eliminate_gf2(equations) -> dict[int, tuple[int, int]] | None:
     return pivots
 
 
-def _solve_gf2(equations, nvars: int) -> list[int] | None:
-    """One solution of the system, with free variables set to 0."""
+def _solve_gf2(equations, nvars: int) -> tuple[int, list[int]] | None:
+    """One packed solution (free variables 0) and the packed basis of the
+    homogeneous solutions, one vector per free variable; None if the system
+    is inconsistent.  Both come from one echelon, whose pivot masks do not
+    depend on the right-hand sides."""
     pivots = _eliminate_gf2(equations)
     if pivots is None:
         return None
-    solution = [0] * nvars
     # each pivot mask has its pivot as the TOP bit, so ascending order
     # guarantees the lower bits are already final
-    for col in sorted(pivots):
-        mask, rhs = pivots[col]
-        acc = rhs
-        rest = mask & ~(1 << col)
-        while rest:
-            b = rest & -rest
-            acc ^= solution[b.bit_length() - 1]
-            rest ^= b
-        solution[col] = acc
-    return solution
+    order = sorted(pivots.items())
 
-
-def _kernel_basis_gf2(equations, nvars: int) -> list[int]:
-    """Basis masks of the homogeneous solution space, one per free variable."""
-    pivots = _eliminate_gf2([(m, 0) for m, _ in equations])
-    basis = []
-    for free in range(nvars):
-        if free in pivots:
-            continue
-        vec = 1 << free
-        for col in sorted(pivots):
-            mask, _ = pivots[col]
-            rest = mask & ~(1 << col)
-            acc = 0
-            while rest:
-                b = rest & -rest
-                acc ^= (vec >> (b.bit_length() - 1)) & 1
-                rest ^= b
-            if acc:
+    def fill(vec: int, homogeneous: bool) -> int:
+        for col, (mask, rhs) in order:
+            if ((vec & mask).bit_count() + (0 if homogeneous else rhs)) & 1:
                 vec |= 1 << col
-        basis.append(vec)
-    return basis
+        return vec
 
-
-def _layer_slots(group: WeylGroup, comp) -> dict[int, list[int]]:
-    """One component's vertices grouped by length, in ascending index."""
-    els = group.elements
-    slots: dict[int, list[int]] = {}
-    for v in comp:
-        slots.setdefault(els[v].length, []).append(v)
-    return slots
+    kernel = [fill(1 << free, True) for free in range(nvars) if free not in pivots]
+    return fill(0, False), kernel
 
 
 def assign_signs(graph: IncidenceGraph, gauge: str = "forward") -> ChainComplex:
@@ -162,7 +132,7 @@ def assign_signs(graph: IncidenceGraph, gauge: str = "forward") -> ChainComplex:
     canonical edge order); any valid gauge must yield the same cohomology.
     Each graph component is solved on its own (see _solve_component).
     """
-    bad = diamond_check(graph)
+    diamonds, bad = _diamonds(graph)
     if bad:
         raise DiamondViolation(bad)
     els = graph.group.elements
@@ -184,47 +154,59 @@ def assign_signs(graph: IncidenceGraph, gauge: str = "forward") -> ChainComplex:
     equations: list[list[tuple[int, int]]] = [[] for _ in comps]
     for e in tree:
         equations[comp_of[e[0]]].append((1 << pos[e], 0))
-    # one parity equation per interval with both paths complete; its four
-    # edges share one component
-    for (_, _), plist in sorted(_diamonds(graph).items()):
-        complete = [(e1, e2) for e1, e2, c in plist if c]
-        if complete:
-            (a1, a2), (b1, b2) = complete
-            mask = (1 << pos[a1]) ^ (1 << pos[a2]) ^ (1 << pos[b1]) ^ (1 << pos[b2])
-            equations[comp_of[a1[0]]].append((mask, 1))
+    # one parity equation per complete diamond; its four edges share one
+    # component
+    for _, ((a1, a2), (b1, b2)) in sorted(diamonds.items()):
+        mask = (1 << pos[a1]) ^ (1 << pos[a2]) ^ (1 << pos[b1]) ^ (1 << pos[b2])
+        equations[comp_of[a1[0]]].append((mask, 1))
+    del diamonds  # free the interval map before the per-component solve
 
     layers = graph.group.by_length()
     layer_pos = [{v: a for a, v in enumerate(layer)} for layer in layers]
     diffs = [[[0] * len(layers[k]) for _ in layers[k + 1]] for k in range(len(layers) - 1)]
+    smith: list[list[int]] = [[] for _ in diffs]
     for comp, es, eqs in zip(comps, comp_edges, equations):
-        packed = _solve_component(graph, comp, es, eqs)
+        packed, diags = _solve_component(graph, comp, es, eqs)
         for p, (i, j) in enumerate(es):
             k = els[i].length
             diffs[k][layer_pos[k + 1][j]][layer_pos[k][i]] = -2 if (packed >> p) & 1 else 2
+        for k, diag in diags.items():
+            smith[k] += [2 * d for d in diag]
     diffs = tuple(tuple(tuple(r) for r in m) for m in diffs)
 
     cc = ChainComplex(
-        graph.group, graph.eps, tuple(tuple(l) for l in layers), diffs, tuple(comps)
+        graph.group,
+        graph.eps,
+        tuple(tuple(l) for l in layers),
+        diffs,
+        tuple(tuple(sorted(s)) for s in smith),
     )
     _verify_square_zero(cc)
     return cc
 
 
-def _solve_component(graph: IncidenceGraph, comp, edges, equations) -> int:
-    """Packed sign bits (bit p set = edge p gets -) for one component.
+def _solve_component(
+    graph: IncidenceGraph, comp, edges, equations
+) -> tuple[int, dict[int, list[int]]]:
+    """Packed sign bits (bit p set = edge p gets -) for one component, and
+    the Smith diagonal of each of its +-1 layer blocks under those signs.
 
     The diamond equations never see a cycle that stays between two adjacent
     length layers, so its sign product is free; the underlying cell
-    structure has exponent-2 torsion, which forces the rational rank of
-    every layer block down to the GF(2) rank of its sign-free support.  All
-    2^k combinations of the GF(2) kernel are tried, so Unsolvable means no
-    valid signs exist for this component.
+    structure has exponent-2 torsion, so every nonzero Smith divisor of
+    each +-1 layer block must be odd (B = U D V with U, V unimodular, which
+    stay invertible mod 2, so the odd divisors count the mod-2 rank of B).
+    All 2^k combinations of the GF(2) kernel are tried, so Unsolvable means
+    no valid signs exist for this component.
     """
-    slots = _layer_slots(graph.group, comp)
+    els = graph.group.elements
+    slots: dict[int, list[int]] = {}
+    for v in comp:
+        slots.setdefault(els[v].length, []).append(v)
     local = {v: a for vs in slots.values() for a, v in enumerate(vs)}
     layer_edges: dict[int, list[int]] = {}
     for p, (i, _) in enumerate(edges):
-        layer_edges.setdefault(graph.group.elements[i].length, []).append(p)
+        layer_edges.setdefault(els[i].length, []).append(p)
 
     def block(k: int, packed: int) -> list[list[int]]:
         rows = [[0] * len(slots[k]) for _ in slots[k + 1]]
@@ -233,31 +215,30 @@ def _solve_component(graph: IncidenceGraph, comp, edges, equations) -> int:
             rows[local[j]][local[i]] = -1 if (packed >> p) & 1 else 1
         return rows
 
-    # per layer, the GF(2) rank of the sign-free support (rows as bit masks)
-    targets = {}
-    for k in layer_edges:
-        masks = [(sum(1 << c for c, x in enumerate(row) if x), 0) for row in block(k, 0)]
-        targets[k] = len(_eliminate_gf2(masks))
     where = (
         f"{graph.group.lie_type} eps={format_signs(graph.eps)}, component of "
-        f"{_word_label(graph.group.elements[comp[0]].word)}"
+        f"{_word_label(els[comp[0]].word)}"
     )
-    bits = _solve_gf2(equations, len(edges))
-    if bits is None:
+    solved = _solve_gf2(equations, len(edges))
+    if solved is None:
         raise Unsolvable(f"no consistent sign assignment for {where}")
-    base = sum(b << p for p, b in enumerate(bits))
-    kernel = _kernel_basis_gf2(equations, len(edges))
+    base, kernel = solved
     for combo in range(1 << len(kernel)):
         packed = base
         for a, vec in enumerate(kernel):
             if (combo >> a) & 1:
                 packed ^= vec
-        miss = next((k for k in sorted(layer_edges) if rank(block(k, packed)) != targets[k]), None)
-        if miss is None:
-            return packed
+        diags = {}
+        for k in sorted(layer_edges):
+            # smith_diagonal lists only the nonzero divisors
+            diags[k] = smith_diagonal(block(k, packed))
+            if not all(d % 2 for d in diags[k]):
+                break
+        else:
+            return packed, diags
     raise Unsolvable(
         f"sign assignment for {where}: none of the 2^{len(kernel)} kernel combinations "
-        f"reaches the mod-2 rank of the C^{miss} -> C^{miss + 1} block"
+        f"reaches the mod-2 rank of the C^{k} -> C^{k + 1} block"
     )
 
 
@@ -272,7 +253,11 @@ def _verify_square_zero(cc: ChainComplex) -> None:
                 if x:
                     acc = [p + x * q for p, q in zip(acc, brow)]
             if any(acc):
-                raise Unsolvable("differential does not square to zero after solving")
+                raise Unsolvable(
+                    f"differential does not square to zero after solving for "
+                    f"{cc.group.lie_type} eps={format_signs(cc.eps)}: "
+                    f"d_{k + 1} o d_{k} != 0 (C^{k} -> C^{k + 2})"
+                )
 
 
 def complex_for(group_or_type, eps, gauge: str = "forward") -> ChainComplex:
@@ -283,29 +268,15 @@ def complex_for(group_or_type, eps, gauge: str = "forward") -> ChainComplex:
 
 
 def cohomology_of_complex(cc: ChainComplex) -> CohomologyGroups:
-    """Smith forms of each component's layer blocks, summed per degree."""
+    """Free ranks and torsion from the Smith divisors the sign solve left on
+    the complex (each is 2 * odd, so all of them are torsion)."""
     dims = cc.dims()
     top = cc.top_degree
-    layer_pos = [{v: a for a, v in enumerate(layer)} for layer in cc.degree_elements]
-    ranks = [0] * top
-    divisors: list[list[int]] = [[] for _ in range(top)]
-    for comp in cc.components:
-        slots = _layer_slots(cc.group, comp)
-        for k in slots:
-            if k + 1 not in slots:
-                continue
-            cols = [layer_pos[k][v] for v in slots[k]]
-            block = [[cc.diffs[k][layer_pos[k + 1][v]][c] for c in cols] for v in slots[k + 1]]
-            diag = smith_diagonal(block)
-            ranks[k] += len([d for d in diag if d])
-            divisors[k] += [d for d in diag if d > 1]
     groups = []
     for k in range(top + 1):
-        r_out = ranks[k] if k < top else 0
-        r_in = ranks[k - 1] if k > 0 else 0
-        free = dims[k] - r_out - r_in
-        tors = tuple(sorted(divisors[k - 1])) if k > 0 else ()
-        groups.append((free, tors))
+        r_out = len(cc.smith[k]) if k < top else 0
+        r_in = len(cc.smith[k - 1]) if k > 0 else 0
+        groups.append((dims[k] - r_out - r_in, cc.smith[k - 1] if k > 0 else ()))
     return CohomologyGroups(tuple(groups))
 
 

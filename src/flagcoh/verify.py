@@ -16,7 +16,7 @@ from .cartan import (
     weyl_order,
 )
 from .errors import FlagcohError
-from .intmat import transpose
+from .intmat import mat_mul, transpose
 from .qpoly import QPoly, q_power_minus_one
 from .weyl import DEFAULT_CAP, enumerate_group, longest_element, positive_root_count
 
@@ -105,9 +105,10 @@ def run_checks(t, cap: int | None = None) -> list[CheckResult]:
 
     table = blowup.blowup_table(group, minus)
     wstar_idx = group.element_index(group.longest)
+    wstar = group.longest.mat
     dual_ok = all(
         table.counts[wstar_idx]
-        == table.counts[group.element_index(_mat_mul(group, wstar_idx, i))] + c
+        == table.counts[group.element_index(mat_mul(wstar, group.elements[i].mat))] + c
         for i, c in enumerate(table.counts)
     )
     (ok if dual_ok else fail)("poincare-duality")
@@ -174,12 +175,6 @@ def run_checks(t, cap: int | None = None) -> list[CheckResult]:
         skip("chevalley-order", "no sphere oracle for this family")
 
     return out
-
-
-def _mat_mul(group, wstar_idx, i):
-    from .intmat import mat_mul
-
-    return mat_mul(group.elements[wstar_idx].mat, group.elements[i].mat)
 
 
 def all_passed(results) -> bool:

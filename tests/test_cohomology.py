@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 
@@ -207,11 +208,28 @@ def test_per_component_snf_matches_dense_snf():
 
 
 def test_unsolvable_names_component_layer_and_kernel(monkeypatch):
-    # a rank no block can have: every kernel combination misses
-    monkeypatch.setattr(cohomology, "rank", lambda rows: -1)
+    # an even divisor, which every kernel combination must reject
+    monkeypatch.setattr(cohomology, "smith_diagonal", lambda rows: [2])
     message = (
         "sign assignment for A2 eps=--, component of 1: none of the 2^0 kernel "
         "combinations reaches the mod-2 rank of the C^1 -> C^2 block"
     )
     with pytest.raises(Unsolvable, match=re.escape(message)):
         assign_signs(build_graph("A2", "--"))
+
+
+def test_square_zero_failure_names_type_signs_and_degree():
+    cc = complex_for("A3", "+++")
+    d0, d1 = cc.diffs[0], cc.diffs[1]
+    # a nonzero path 0 -> j -> l lies on a complete diamond, so flipping its
+    # first edge leaves d_1 o d_0 nonzero
+    j = next(j for j, row in enumerate(d0) if row[0] and any(r[j] for r in d1))
+    flipped = [list(row) for row in d0]
+    flipped[j][0] = -flipped[j][0]
+    bad = dataclasses.replace(cc, diffs=(tuple(map(tuple, flipped)),) + cc.diffs[1:])
+    message = (
+        "differential does not square to zero after solving for A3 eps=+++: "
+        "d_1 o d_0 != 0 (C^0 -> C^2)"
+    )
+    with pytest.raises(Unsolvable, match=re.escape(message)):
+        cohomology._verify_square_zero(bad)
