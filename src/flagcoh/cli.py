@@ -18,7 +18,7 @@ from .cartan import LieType, compact_dual_data
 from .errors import FlagcohError
 from .flow import SpectralData, count_zeros, default_window, tau_signal
 from .qpoly import QPoly, factor_q_minus_form
-from .weyl import enumerate_group, longest_element
+from .weyl import enumerate_group, longest_element, word_label
 
 
 def _cap(args) -> int | None:
@@ -30,10 +30,6 @@ def _cap(args) -> int | None:
 
 def _poly_pairs(p: QPoly) -> list[list]:
     return [[e, str(c)] for e, c in p.items()]
-
-
-def _word_str(word) -> str:
-    return "e" if not word else "".join(str(i) for i in word)
 
 
 def _factored(p: QPoly) -> str | None:
@@ -55,13 +51,6 @@ def _emit(payload, out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _ordered_elements(group):
-    return sorted(
-        range(group.order),
-        key=lambda i: (group.elements[i].length, group.elements[i].mat),
-    )
 
 
 def cmd_weyl(args) -> int:
@@ -86,11 +75,11 @@ def cmd_eta(args) -> int:
     table = blowup.blowup_table(group, eps)
     values = [
         {
-            "word": _word_str(group.elements[i].word),
+            "word": word_label(group.elements[i].word),
             "length": group.elements[i].length,
             "eta": table.counts[i],
         }
-        for i in _ordered_elements(group)
+        for i in group.canonical_order()
     ]
     payload = {
         "command": "eta",
@@ -203,7 +192,7 @@ def cmd_chevalley(args) -> int:
     }
     if args.verify:
         if args.prime is None:
-            raise SystemExit("--verify needs --prime")
+            raise ValueError("--verify needs --prime")
         report = chevalley.verify_order(t, chevalley.PrimeField(args.prime))
         payload["verify"] = report
         _emit(payload, args.out)
@@ -217,7 +206,7 @@ def cmd_chevalley(args) -> int:
 def cmd_flow(args) -> int:
     values = [float(x) for x in args.spectrum.split(",")]
     if len(values) != args.rank + 1:
-        raise SystemExit(f"rank {args.rank} needs {args.rank + 1} eigenvalues")
+        raise ValueError(f"rank {args.rank} needs {args.rank + 1} eigenvalues")
     spec = SpectralData.make(values)
     window = None if args.window == "auto" else float(args.window)
     if window is None:

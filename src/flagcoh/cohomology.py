@@ -3,7 +3,8 @@
 Graph edges become matrix entries +-2.  Signs are solved over GF(2) so
 that consecutive differentials compose to zero: every complete diamond
 (the two cover paths through a length-2 Bruhat interval) contributes one
-parity equation, and a spanning forest of the graph is gauged to +.
+parity equation, and a spanning forest of the graph is gauged to +.  One
+sign is kept per edge, and d o d = 0 is checked over two-edge paths.
 
 The differential only has entries on graph edges, so the complex is
 block-diagonal over the graph's connected components; it is solved and
@@ -23,9 +24,9 @@ from dataclasses import dataclass
 
 from .blowup import Signs, format_signs, sign_vector
 from .errors import DiamondViolation, Unsolvable
-from .graph import IncidenceGraph, _word_label, build_graph, spanning_forest
+from .graph import IncidenceGraph, build_graph, spanning_forest
 from .snf import smith_diagonal
-from .weyl import WeylGroup
+from .weyl import WeylGroup, word_label
 
 
 @dataclass
@@ -33,7 +34,7 @@ class ChainComplex:
     group: WeylGroup
     eps: Signs
     degree_elements: tuple[tuple[int, ...], ...]  # element indices per length
-    diffs: tuple[tuple[tuple[int, ...], ...], ...]  # diffs[k]: C^k -> C^{k+1}
+    signs: dict[tuple[int, int], int]  # graph edge (i, j) -> +-1; the entry is 2 * sign
     # smith[k]: the nonzero Smith divisors of every component's C^k -> C^{k+1}
     # block, pooled and sorted; SNF(2B) = 2 SNF(B), so each is 2 * odd
     smith: tuple[tuple[int, ...], ...]
@@ -44,6 +45,16 @@ class ChainComplex:
 
     def dims(self) -> tuple[int, ...]:
         return tuple(len(layer) for layer in self.degree_elements)
+
+    @property
+    def diffs(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Dense layers, diffs[k]: C^k -> C^{k+1}, built from the edge signs."""
+        pos = {v: a for layer in self.degree_elements for a, v in enumerate(layer)}
+        dims = self.dims()
+        dense = [[[0] * dims[k] for _ in range(dims[k + 1])] for k in range(self.top_degree)]
+        for (i, j), sign in self.signs.items():
+            dense[self.group.elements[i].length][pos[j]][pos[i]] = 2 * sign
+        return tuple(tuple(map(tuple, m)) for m in dense)
 
 
 @dataclass
@@ -66,23 +77,23 @@ class CohomologyGroups:
         return out
 
 
-def _diamonds(graph: IncidenceGraph):
-    """Per length-2 interval (bottom, top): its two-edge cover paths that lie
-    entirely in the graph, for the intervals that have any; and the sorted
-    intervals whose count of such paths is not 2."""
-    up = graph.group.covers_up()
-    edge_set = set(graph.edges)
+def _diamonds(edges):
+    """Per length-2 interval (bottom, top): its paths of two of the given
+    edges, for the intervals that have any; and the sorted intervals whose
+    count of such paths is not 2."""
+    out: dict[int, list[int]] = {}
+    for i, j in edges:
+        out.setdefault(i, []).append(j)
     paths: dict[tuple[int, int], list[tuple[tuple[int, int], tuple[int, int]]]] = {}
-    for i, j in graph.edges:
-        for k in up.get(j, ()):
-            if (j, k) in edge_set:
-                paths.setdefault((i, k), []).append(((i, j), (j, k)))
-    return paths, tuple(ik for ik, plist in sorted(paths.items()) if len(plist) != 2)
+    for i, j in edges:
+        for k in out.get(j, ()):
+            paths.setdefault((i, k), []).append(((i, j), (j, k)))
+    return paths, tuple(sorted(ik for ik, plist in paths.items() if len(plist) != 2))
 
 
 def diamond_check(graph: IncidenceGraph) -> tuple[tuple[int, int], ...]:
     """Length-2 intervals whose complete in-graph path count is not 0 or 2."""
-    return _diamonds(graph)[1]
+    return _diamonds(graph.edges)[1]
 
 
 def _eliminate_gf2(equations) -> dict[int, tuple[int, int]] | None:
@@ -132,11 +143,11 @@ def assign_signs(graph: IncidenceGraph, gauge: str = "forward") -> ChainComplex:
     canonical edge order); any valid gauge must yield the same cohomology.
     Each graph component is solved on its own (see _solve_component).
     """
-    diamonds, bad = _diamonds(graph)
+    diamonds, bad = _diamonds(graph.edges)
     if bad:
         raise DiamondViolation(bad)
-    els = graph.group.elements
-    edges = sorted(graph.edges, key=lambda e: (els[e[0]].length, els[e[0]].mat, els[e[1]].mat))
+    rank = {v: r for r, v in enumerate(graph.group.canonical_order())}
+    edges = sorted(graph.edges, key=lambda e: (rank[e[0]], rank[e[1]]))
     if gauge == "reverse":
         edges = list(reversed(edges))
     elif gauge != "forward":
@@ -162,23 +173,20 @@ def assign_signs(graph: IncidenceGraph, gauge: str = "forward") -> ChainComplex:
     del diamonds  # free the interval map before the per-component solve
 
     layers = graph.group.by_length()
-    layer_pos = [{v: a for a, v in enumerate(layer)} for layer in layers]
-    diffs = [[[0] * len(layers[k]) for _ in layers[k + 1]] for k in range(len(layers) - 1)]
-    smith: list[list[int]] = [[] for _ in diffs]
+    signs: dict[tuple[int, int], int] = {}
+    smith: list[list[int]] = [[] for _ in layers[1:]]
     for comp, es, eqs in zip(comps, comp_edges, equations):
         packed, diags = _solve_component(graph, comp, es, eqs)
-        for p, (i, j) in enumerate(es):
-            k = els[i].length
-            diffs[k][layer_pos[k + 1][j]][layer_pos[k][i]] = -2 if (packed >> p) & 1 else 2
+        for p, e in enumerate(es):
+            signs[e] = -1 if (packed >> p) & 1 else 1
         for k, diag in diags.items():
             smith[k] += [2 * d for d in diag]
-    diffs = tuple(tuple(tuple(r) for r in m) for m in diffs)
 
     cc = ChainComplex(
         graph.group,
         graph.eps,
         tuple(tuple(l) for l in layers),
-        diffs,
+        signs,
         tuple(tuple(sorted(s)) for s in smith),
     )
     _verify_square_zero(cc)
@@ -217,7 +225,7 @@ def _solve_component(
 
     where = (
         f"{graph.group.lie_type} eps={format_signs(graph.eps)}, component of "
-        f"{_word_label(els[comp[0]].word)}"
+        f"{word_label(els[comp[0]].word)}"
     )
     solved = _solve_gf2(equations, len(edges))
     if solved is None:
@@ -243,21 +251,21 @@ def _solve_component(
 
 
 def _verify_square_zero(cc: ChainComplex) -> None:
-    for k in range(len(cc.diffs) - 1):
-        a, b = cc.diffs[k + 1], cc.diffs[k]
-        if not a or not b:
-            continue
-        for row in a:
-            acc = [0] * len(b[0])
-            for x, brow in zip(row, b):
-                if x:
-                    acc = [p + x * q for p, q in zip(acc, brow)]
-            if any(acc):
-                raise Unsolvable(
-                    f"differential does not square to zero after solving for "
-                    f"{cc.group.lie_type} eps={format_signs(cc.eps)}: "
-                    f"d_{k + 1} o d_{k} != 0 (C^{k} -> C^{k + 2})"
-                )
+    """d o d = 0: over every interval, the sign products of its two-edge
+    paths cancel.  Names the lowest degree where they do not."""
+    s, els = cc.signs, cc.group.elements
+    bad = [
+        els[i].length
+        for (i, _), plist in _diamonds(s)[0].items()
+        if sum(s[a] * s[b] for a, b in plist)
+    ]
+    if bad:
+        k = min(bad)
+        raise Unsolvable(
+            f"differential does not square to zero after solving for "
+            f"{cc.group.lie_type} eps={format_signs(cc.eps)}: "
+            f"d_{k + 1} o d_{k} != 0 (C^{k} -> C^{k + 2})"
+        )
 
 
 def complex_for(group_or_type, eps, gauge: str = "forward") -> ChainComplex:

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 
 from .blowup import Signs, all_minus, blowup_table, format_signs, sign_vector
-from .weyl import WeylGroup
+from .weyl import WeylGroup, word_label
 
 
 @dataclass
@@ -27,11 +27,6 @@ class IncidenceGraph:
     @property
     def vertex_count(self) -> int:
         return self.group.order
-
-    def vertex_order(self) -> list[int]:
-        """Canonical vertex order: by (length, matrix key)."""
-        els = self.group.elements
-        return sorted(range(len(els)), key=lambda i: (els[i].length, els[i].mat))
 
     def edge_words(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         els = self.group.elements
@@ -97,13 +92,9 @@ def negative_components(graph: IncidenceGraph) -> int:
     return len(spanning_forest(inside, induced)[0])
 
 
-def _word_label(word) -> str:
-    return "e" if not word else "".join(str(i) for i in word)
-
-
 def export_graph(graph: IncidenceGraph, fmt: str) -> str:
     """Serialize as 'dot' or 'json'; vertex order is (length, matrix key)."""
-    order = graph.vertex_order()
+    order = graph.group.canonical_order()
     els = graph.group.elements
     pos = {v: k for k, v in enumerate(order)}
     edges = sorted((pos[i], pos[j]) for i, j in graph.edges)
@@ -111,7 +102,7 @@ def export_graph(graph: IncidenceGraph, fmt: str) -> str:
         lines = ["digraph incidence {"]
         for v in order:
             w = els[v]
-            label = f"{_word_label(w.word)} | l={w.length} | eta={graph.counts[v]}"
+            label = f"{word_label(w.word)} | l={w.length} | eta={graph.counts[v]}"
             lines.append(f'  n{pos[v]} [label="{label}"];')
         for a, b in edges:
             lines.append(f"  n{a} -> n{b};")

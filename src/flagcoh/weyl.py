@@ -26,6 +26,11 @@ class WeylElement:
     word: tuple[int, ...]  # one reduced word, generator indices 1..l
 
 
+def word_label(word) -> str:
+    """A reduced word as its digits, or 'e' for the identity."""
+    return "e" if not word else "".join(str(i) for i in word)
+
+
 def reflection_matrix(i: int, cartan: CartanMatrix) -> Matrix:
     """Matrix of s_i: column j is alpha_j - C[j][i] alpha_i (i is 1-based)."""
     l = cartan.rank
@@ -107,19 +112,29 @@ class WeylGroup:
         return self._reflections
 
     def cover_pairs(self) -> tuple[tuple[int, int], ...]:
-        """All Bruhat covers (i, j) with length(j) = length(i) + 1."""
+        """All Bruhat covers (i, j) with length(j) = length(i) + 1.
+
+        Lifting property: for w = p s with p = parent[w], the coatoms of w
+        are p and every v s with v a coatom of p and v s > v; BFS lists p
+        before w."""
         if self._covers is None:
-            refl = sorted(self.reflections())
-            pairs = []
-            for j, w in enumerate(self.elements):
-                if w.length == 0:
-                    continue
-                for t in refl:
-                    i = self.index.get(mat_mul(w.mat, t))
-                    if i is not None and self.elements[i].length == w.length - 1:
-                        pairs.append((i, j))
-            self._covers = tuple(sorted(pairs))
+            updates = _column_updates(self.cartan)
+            coatoms: list[list[int]] = [[]]
+            for j in range(1, self.order):
+                p, s = self.parent[j], self.parent_gen[j] - 1
+                down = [p]
+                for v in coatoms[p]:
+                    mat = self.elements[v].mat
+                    if all(row[s] >= 0 for row in mat):
+                        down.append(self.index[_apply_update(mat, updates[s], s)])
+                coatoms.append(down)
+            self._covers = tuple(sorted((i, j) for j, down in enumerate(coatoms) for i in down))
         return self._covers
+
+    def canonical_order(self) -> list[int]:
+        """Element indices by (length, matrix key): the order of all output."""
+        els = self.elements
+        return sorted(range(len(els)), key=lambda i: (els[i].length, els[i].mat))
 
     def covers_up(self) -> dict[int, tuple[int, ...]]:
         if self._cover_up is None:
@@ -252,7 +267,7 @@ def longest_element(t) -> WeylElement:
             if all(mat[r][i] <= 0 for r in range(l)):
                 break
         else:
-            raise RuntimeError(f"peeling stuck for {t}: not a longest-element matrix")
+            raise InvariantViolated(f"peeling stuck for {t}: not a longest-element matrix")
         peeled.append(i + 1)
         mat = _apply_update(mat, updates[i], i)
     word = tuple(reversed(peeled))

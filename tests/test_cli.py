@@ -137,6 +137,10 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main(["pq", "--type", "A2", "--eps", "---"]) == 2  # wrong length
     capsys.readouterr()
+    assert main(["chevalley", "--type", "A2", "--verify"]) == 2  # no --prime
+    assert "usage error:" in capsys.readouterr().err
+    assert main(["flow", "--rank", "2", "--spectrum", "1,2"]) == 2  # one eigenvalue short
+    assert "usage error:" in capsys.readouterr().err
 
 
 def test_cap_error_is_reported(capsys):

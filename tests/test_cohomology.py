@@ -220,13 +220,10 @@ def test_unsolvable_names_component_layer_and_kernel(monkeypatch):
 
 def test_square_zero_failure_names_type_signs_and_degree():
     cc = complex_for("A3", "+++")
-    d0, d1 = cc.diffs[0], cc.diffs[1]
-    # a nonzero path 0 -> j -> l lies on a complete diamond, so flipping its
+    # an edge path 0 -> j -> k lies on a complete diamond, so flipping its
     # first edge leaves d_1 o d_0 nonzero
-    j = next(j for j, row in enumerate(d0) if row[0] and any(r[j] for r in d1))
-    flipped = [list(row) for row in d0]
-    flipped[j][0] = -flipped[j][0]
-    bad = dataclasses.replace(cc, diffs=(tuple(map(tuple, flipped)),) + cc.diffs[1:])
+    e = next(e for e in cc.signs if e[0] == 0 and any(a == e[1] for a, _ in cc.signs))
+    bad = dataclasses.replace(cc, signs={**cc.signs, e: -cc.signs[e]})
     message = (
         "differential does not square to zero after solving for A3 eps=+++: "
         "d_1 o d_0 != 0 (C^0 -> C^2)"

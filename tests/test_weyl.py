@@ -150,6 +150,36 @@ def test_cover_pairs_count_a2():
     assert len(g.cover_pairs()) == 8
 
 
+def _reflection_covers(g):
+    """Covers by definition: (i, j) with w_j t = w_i for a reflection t and
+    w_i one shorter than w_j."""
+    pairs = []
+    for j, w in enumerate(g.elements):
+        for t in g.reflections():
+            i = g.index[mat_mul(w.mat, t)]
+            if g.elements[i].length == w.length - 1:
+                pairs.append((i, j))
+    return tuple(sorted(pairs))
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2"]
+)
+def test_cover_pairs_match_reflection_definition(name):
+    g = enumerate_group(name)
+    assert g.cover_pairs() == _reflection_covers(g)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_bruhat_cover_agrees_with_covers_up(name):
+    g = enumerate_group(name)
+    up = g.covers_up()
+    for i, u in enumerate(g.elements):
+        for j, w in enumerate(g.elements):
+            if w.length == u.length + 1:
+                assert bruhat_cover(g, u, w) == (j in up.get(i, ())), (u.word, w.word)
+
+
 def test_length_gap_is_not_cover():
     g = enumerate_group("A2")
     e = g.elements[0]
