@@ -13,8 +13,9 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import snf
 from .errors import InvalidCartanMatrix
-from .intmat import Matrix, det, transpose
+from .intmat import Matrix, transpose
 
 _FAMILIES = "ABCDEFG"
 _TYPE_RE = re.compile(r"^([A-G])(\d+)$")
@@ -73,7 +74,7 @@ class CartanMatrix:
             raise InvalidCartanMatrix(f"off-diagonal entries must be <= 0: {c}")
         if any((c[j][i] == 0) != (c[i][j] == 0) for j in range(l) for i in range(l)):
             raise InvalidCartanMatrix(f"zero pattern must be symmetric: {c}")
-        if det(c) == 0:
+        if snf.rank(c) < l:
             raise InvalidCartanMatrix(f"singular: {c}")
 
     @property

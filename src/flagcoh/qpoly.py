@@ -21,10 +21,6 @@ class QPoly:
     def one(cls) -> "QPoly":
         return cls({0: 1})
 
-    @classmethod
-    def monomial(cls, exp: int, coeff: int = 1) -> "QPoly":
-        return cls({exp: coeff})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

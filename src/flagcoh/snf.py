@@ -1,83 +1,67 @@
-"""Smith normal form over the integers, exact and pivot-stable.
+"""Smith normal form over the integers: one exact sparse elimination.
 
+This is the package's only integer elimination: it reduces the ±1 layer
+blocks of the sign solve and decides whether a Cartan matrix is singular.
 Only the diagonal is needed downstream (ranks and elementary divisors), so
-no transform matrices are tracked.  Pivoting always picks a smallest
-nonzero entry to limit coefficient growth.
+no transform matrices are tracked.  Rows are kept as {column: entry} dicts.
+The pivot is a ±1 entry when one exists (the first row holding one), and
+otherwise an entry of least absolute value.  Row operations clear the
+pivot's column; column operations, which then touch the pivot row only,
+clear its row.  A pivot that is not a unit is recorded only once no row
+holds an entry it does not divide (it takes such a row in and picks again),
+so each recorded pivot divides all that is left and the divisors come out
+as a chain.
 """
 
 from __future__ import annotations
 
 
-def smith_diagonal(rows) -> list[int]:
-    """Nonnegative diagonal of the Smith normal form, divisibility-chained."""
-    a = [list(map(int, r)) for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    diag: list[int] = []
-    t = 0
-    while t < min(m, n):
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best, pivot = v, (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-            if dirty:
-                continue
-            # clear row t
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-            if not dirty:
-                break
-        # fold in any entry the pivot does not divide yet
-        p = a[t][t]
-        culprit = next(
-            (
-                (i, j)
-                for i in range(t + 1, m)
-                for j in range(t + 1, n)
-                if a[i][j] % p
-            ),
-            None,
-        )
-        if culprit is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[culprit[0]])]
-            continue
-        diag.append(abs(p))
-        t += 1
-    # enforce d_1 | d_2 | ... (gcd/lcm folding keeps the product invariant)
-    from math import gcd
+def _add_multiple(row: dict[int, int], pivot_row: dict[int, int], q: int) -> None:
+    """row += q * pivot_row, keeping only nonzero entries."""
+    for j, v in pivot_row.items():
+        x = row.get(j, 0) + q * v
+        if x:
+            row[j] = x
+        else:
+            del row[j]
 
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            g = gcd(diag[i], diag[j])
-            diag[i], diag[j] = g, diag[i] // g * diag[j]
+
+def smith_diagonal(rows) -> list[int]:
+    """Nonzero diagonal of the Smith normal form, divisibility-chained."""
+    a = {i: {j: int(v) for j, v in enumerate(r) if v} for i, r in enumerate(rows)}
+    a = {i: r for i, r in a.items() if r}
+    diag: list[int] = []
+    while a:
+        units = ((i, j) for i, row in a.items() for j, v in row.items() if v in (1, -1))
+        r, c = next(units, None) or min(
+            ((i, j) for i, row in a.items() for j in row), key=lambda ij: abs(a[ij[0]][ij[1]])
+        )
+        prow = a[r]
+        p = prow[c]
+        # clear column c; a nonzero remainder is smaller than p, so pick again
+        for i, row in list(a.items()):
+            if i != r and c in row:
+                _add_multiple(row, prow, -(row[c] // p))
+                if not row:
+                    del a[i]
+        if any(c in row for i, row in a.items() if i != r):
+            continue
+        # clear row r: column c now lives in row r only
+        for j in [j for j in prow if j != c]:
+            if prow[j] % p:
+                prow[j] %= p
+            else:
+                del prow[j]
+        if len(prow) > 1:
+            continue
+        if p not in (1, -1):
+            culprit = next((row for row in a.values() if any(v % p for v in row.values())), None)
+            if culprit is not None:
+                # row r += culprit, reduced by column operations as above
+                prow.update((j, v % p) for j, v in culprit.items() if v % p)
+                continue
+        diag.append(abs(p))
+        del a[r]
     return diag
 
 

@@ -10,7 +10,7 @@ from flagcoh.cartan import (
     same_up_to_relabeling,
     weyl_order,
 )
-from flagcoh.errors import FlagcohError
+from flagcoh.errors import FlagcohError, InvalidCartanMatrix
 from flagcoh.intmat import transpose
 
 ALL_TYPES = [
@@ -123,3 +123,9 @@ def test_non_two_diagonal_raises_flagcoh_error():
     # a raised exception, not an assert, so the check survives python -O
     with pytest.raises(FlagcohError, match="diagonal"):
         CartanMatrix(((2, -1), (-1, 3)))
+
+
+def test_singular_affine_a1_rejected():
+    # the affine A1 matrix passes every sign and pattern check but has rank 1
+    with pytest.raises(InvalidCartanMatrix, match="singular"):
+        CartanMatrix(((2, -2), (-2, 2)))
