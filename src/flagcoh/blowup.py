@@ -103,10 +103,10 @@ class BlowupTable:
         return tuple(sorted(self.counts))
 
 
-def _coerce_group(group_or_type, cap=None) -> WeylGroup:
+def _coerce_group(group_or_type) -> WeylGroup:
     if isinstance(group_or_type, WeylGroup):
         return group_or_type
-    return enumerate_group(group_or_type, cap)
+    return enumerate_group(group_or_type)
 
 
 def blowup_table(group_or_type, eps) -> BlowupTable:

@@ -1,22 +1,22 @@
 """Integer cochain complexes over incidence graphs and their cohomology.
 
-Graph edges become matrix entries +-2.  Signs are solved over GF(2) so
-that consecutive differentials compose to zero: every complete diamond
-(the two cover paths through a length-2 Bruhat interval) contributes one
-parity equation, and a spanning forest of the graph is gauged to +.  One
-sign is kept per edge, and d o d = 0 is checked over two-edge paths.
+Graph edges become matrix entries +-2, one sign kept per edge.  Signs are
+solved over GF(2) so that consecutive differentials compose to zero:
+every complete diamond (the two cover paths through a length-2 Bruhat
+interval) contributes one parity equation, and a spanning forest of the
+graph is gauged to +.
 
 The differential only has entries on graph edges, so the complex is
 block-diagonal over the graph's connected components; it is solved and
-reduced one component at a time.  Within a component, signs are accepted
-when every nonzero Smith divisor of each +-1 layer block is odd, as the
-exponent-2 torsion of the cell structure demands; since B = U D V with
-U, V unimodular, hence invertible mod 2, this says rank_Q B = rank_GF2 B.
-An exhaustive search over the component's GF(2) solution space makes
-Unsolvable mean that no valid signs exist.  The accepted diagonals,
-doubled, are the Smith forms of the +-2 blocks, so cohomology only sums
-them.
-"""
+reduced one component at a time, and one walk of a component's two-edge
+paths gives both its parity equations and its d o d = 0 check.  Within a
+component, signs are accepted when every nonzero Smith divisor of each +-1
+layer block is odd, as the exponent-2 torsion of the cell structure
+demands; since B = U D V with U, V unimodular, hence invertible mod 2,
+this says rank_Q B = rank_GF2 B.  An exhaustive search over the
+component's GF(2) solution space makes Unsolvable mean that no valid
+signs exist.  The accepted diagonals, doubled, are the Smith forms of the
++-2 blocks, so cohomology only sums them."""
 
 from __future__ import annotations
 
@@ -143,9 +143,6 @@ def assign_signs(graph: IncidenceGraph, gauge: str = "forward") -> ChainComplex:
     canonical edge order); any valid gauge must yield the same cohomology.
     Each graph component is solved on its own (see _solve_component).
     """
-    diamonds, bad = _diamonds(graph.edges)
-    if bad:
-        raise DiamondViolation(bad)
     rank = {v: r for r, v in enumerate(graph.group.canonical_order())}
     edges = sorted(graph.edges, key=lambda e: (rank[e[0]], rank[e[1]]))
     if gauge == "reverse":
@@ -155,49 +152,36 @@ def assign_signs(graph: IncidenceGraph, gauge: str = "forward") -> ChainComplex:
 
     # spanning forest over the undirected graph: tree edges are forced to +
     comps, tree = spanning_forest(range(graph.vertex_count), edges)
+    forced = set(tree)  # in scan order, so each component's are a filter of its edges
     comp_of = {v: c for c, vs in enumerate(comps) for v in vs}
     comp_edges: list[list[tuple[int, int]]] = [[] for _ in comps]
     for e in edges:
         comp_edges[comp_of[e[0]]].append(e)
-    # local bit positions keep the global relative order, so each component
-    # gets the same GF(2) pivots and solution as one global system would
-    pos = {e: k for es in comp_edges for k, e in enumerate(es)}
-    equations: list[list[tuple[int, int]]] = [[] for _ in comps]
-    for e in tree:
-        equations[comp_of[e[0]]].append((1 << pos[e], 0))
-    # one parity equation per complete diamond; its four edges share one
-    # component
-    for _, ((a1, a2), (b1, b2)) in sorted(diamonds.items()):
-        mask = (1 << pos[a1]) ^ (1 << pos[a2]) ^ (1 << pos[b1]) ^ (1 << pos[b2])
-        equations[comp_of[a1[0]]].append((mask, 1))
-    del diamonds  # free the interval map before the per-component solve
 
     layers = graph.group.by_length()
     signs: dict[tuple[int, int], int] = {}
     smith: list[list[int]] = [[] for _ in layers[1:]]
-    for comp, es, eqs in zip(comps, comp_edges, equations):
-        packed, diags = _solve_component(graph, comp, es, eqs)
-        for p, e in enumerate(es):
-            signs[e] = -1 if (packed >> p) & 1 else 1
+    for comp, es in zip(comps, comp_edges):
+        comp_signs, diags = _solve_component(graph, comp, es, [e for e in es if e in forced])
+        signs.update(comp_signs)
         for k, diag in diags.items():
             smith[k] += [2 * d for d in diag]
 
-    cc = ChainComplex(
+    return ChainComplex(
         graph.group,
         graph.eps,
         tuple(tuple(l) for l in layers),
         signs,
         tuple(tuple(sorted(s)) for s in smith),
     )
-    _verify_square_zero(cc)
-    return cc
 
 
 def _solve_component(
-    graph: IncidenceGraph, comp, edges, equations
-) -> tuple[int, dict[int, list[int]]]:
-    """Packed sign bits (bit p set = edge p gets -) for one component, and
-    the Smith diagonal of each of its +-1 layer blocks under those signs.
+    graph: IncidenceGraph, comp, edges, tree
+) -> tuple[dict[tuple[int, int], int], dict[int, list[int]]]:
+    """Signs {edge: +-1} for one component, and the Smith diagonal of each
+    of its +-1 layer blocks under them; one walk of its two-edge paths
+    gives the parity equations and the d o d = 0 check.
 
     The diamond equations never see a cycle that stays between two adjacent
     length layers, so its sign product is free; the underlying cell
@@ -207,6 +191,16 @@ def _solve_component(
     All 2^k combinations of the GF(2) kernel are tried, so Unsolvable means
     no valid signs exist for this component.
     """
+    paths, bad = _diamonds(edges)
+    if bad:
+        raise DiamondViolation(bad)
+    pos = {e: p for p, e in enumerate(edges)}
+    equations = [(1 << pos[e], 0) for e in tree]
+    # one parity equation per complete diamond
+    for _, ((a1, a2), (b1, b2)) in sorted(paths.items()):
+        mask = (1 << pos[a1]) ^ (1 << pos[a2]) ^ (1 << pos[b1]) ^ (1 << pos[b2])
+        equations.append((mask, 1))
+
     els = graph.group.elements
     slots: dict[int, list[int]] = {}
     for v in comp:
@@ -243,27 +237,29 @@ def _solve_component(
             if not all(d % 2 for d in diags[k]):
                 break
         else:
-            return packed, diags
+            signs = {e: -1 if (packed >> p) & 1 else 1 for p, e in enumerate(edges)}
+            _verify_square_zero(graph, paths, signs)
+            return signs, diags
     raise Unsolvable(
         f"sign assignment for {where}: none of the 2^{len(kernel)} kernel combinations "
         f"reaches the mod-2 rank of the C^{k} -> C^{k + 1} block"
     )
 
 
-def _verify_square_zero(cc: ChainComplex) -> None:
+def _verify_square_zero(graph: IncidenceGraph, paths, signs) -> None:
     """d o d = 0: over every interval, the sign products of its two-edge
     paths cancel.  Names the lowest degree where they do not."""
-    s, els = cc.signs, cc.group.elements
+    els = graph.group.elements
     bad = [
         els[i].length
-        for (i, _), plist in _diamonds(s)[0].items()
-        if sum(s[a] * s[b] for a, b in plist)
+        for (i, _), plist in paths.items()
+        if sum(signs[a] * signs[b] for a, b in plist)
     ]
     if bad:
         k = min(bad)
         raise Unsolvable(
             f"differential does not square to zero after solving for "
-            f"{cc.group.lie_type} eps={format_signs(cc.eps)}: "
+            f"{graph.group.lie_type} eps={format_signs(graph.eps)}: "
             f"d_{k + 1} o d_{k} != 0 (C^{k} -> C^{k + 2})"
         )
 
@@ -297,7 +293,7 @@ def rational_betti(group_or_type, eps) -> tuple[int, ...]:
     return integral_cohomology(group_or_type, eps).free_ranks()
 
 
-def mod2_dims(group_or_type, eps=None) -> tuple[int, ...]:
+def mod2_dims(group_or_type) -> tuple[int, ...]:
     """GF(2) dimensions: all differentials vanish mod 2, so these are the
     length-distribution counts."""
     from .blowup import _coerce_group

@@ -37,6 +37,8 @@ PRODUCT = "product"  # stores tau_{l-1} * tau_l
 # t_1-shift sends (a, m) to (a, m-1), killing m = 0 (s is a constant).
 HExpr = dict[tuple[int, int], Fraction]
 
+_MAX_DIM = 6  # largest rank whose exact determinants are attempted
+
 
 def _shift(expr: HExpr) -> HExpr:
     return {(a, m - 1): c for (a, m), c in expr.items() if m >= 1}
@@ -229,16 +231,14 @@ def _family_g2() -> list[TauEntry]:
     ]
 
 
-def nilpotent_tau_family(t, max_dim: int = 6) -> TauFamily:
+def nilpotent_tau_family(t) -> TauFamily:
     """All tau-functions of the nilpotent flow for one type, exactly."""
     t = LieType.parse(t)
     if t.family in "EF":
         raise UnsupportedType(f"no tau-function formulas for family {t.family}")
     l = t.rank
-    if l > max_dim:
-        raise ValueError(
-            f"rank {l} needs determinants of dimension {l} > bound {max_dim}"
-        )
+    if l > _MAX_DIM:
+        raise ValueError(f"rank {l} needs determinants of dimension {l} > bound {_MAX_DIM}")
     if t.family == "A":
         entries = _family_a(l)
     elif t.family == "B":
@@ -259,11 +259,11 @@ def min_degree(p: MultiPoly) -> int:
     return p.min_total_degree()
 
 
-def tau_min_degrees(t, max_dim: int = 6) -> tuple[int, ...]:
-    return nilpotent_tau_family(t, max_dim).min_degrees()
+def tau_min_degrees(t) -> tuple[int, ...]:
+    return nilpotent_tau_family(t).min_degrees()
 
 
-def singularity_multiplicity(t, max_dim: int = 6) -> int:
+def singularity_multiplicity(t) -> int:
     """Sum of the per-tau minimal degrees: the multiplicity at the common
     intersection point of the divisors."""
-    return nilpotent_tau_family(t, max_dim).multiplicity()
+    return nilpotent_tau_family(t).multiplicity()

@@ -146,9 +146,10 @@ def run_checks(t, cap: int | None = None) -> list[CheckResult]:
     (ok if sum(betti) == 2**data.g else fail)("total-betti", f"{sum(betti)}")
     divisors = {d for tors in groups.torsion() for d in tors}
     (ok if divisors <= {2} else warn)("torsion-exponent-two", f"divisors {sorted(divisors)}")
-    (ok if cohomology.mod2_dims(group) == tuple(dist) else fail)("mod2-dims")
+    by_construction = "holds by construction: every entry is +-2, so the mod-2 differentials vanish"
+    (ok if cohomology.mod2_dims(group) == tuple(dist) else fail)("mod2-dims", by_construction)
 
-    if t.family in "ABCDG" and l <= 6:
+    if t.family in "ABCDG":
         try:
             mult = tau.singularity_multiplicity(t)
             (ok if mult == eta_star else fail)("tau-multiplicity", f"{mult} vs {eta_star}")
@@ -157,12 +158,14 @@ def run_checks(t, cap: int | None = None) -> list[CheckResult]:
     else:
         skip("tau-multiplicity", "no formulas for this family")
 
-    if t.family in "ACD" and l <= 4:
-        field = chevalley.PrimeField(5)
-        report = chevalley.verify_order(t, field)
-        (ok if report["match"] else fail)(
-            "chevalley-order", f"{report['closed_form']} vs {report['brute_force']}"
-        )
+    if t.family in "ACD":
+        try:
+            report = chevalley.verify_order(t, chevalley.PrimeField(5))
+            (ok if report["match"] else fail)(
+                "chevalley-order", f"{report['closed_form']} vs {report['brute_force']}"
+            )
+        except ValueError as e:
+            skip("chevalley-order", str(e))
     else:
         skip("chevalley-order", "no sphere oracle for this family")
 

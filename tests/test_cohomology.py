@@ -7,7 +7,7 @@ import pytest
 from flagcoh import cohomology
 from flagcoh.blowup import all_minus, all_sign_vectors, blowup_poly, blowup_table
 from flagcoh.cartan import compact_dual_data
-from flagcoh.errors import Unsolvable
+from flagcoh.errors import DiamondViolation, Unsolvable
 from flagcoh.cohomology import (
     assign_signs,
     cohomology_of_complex,
@@ -219,14 +219,29 @@ def test_unsolvable_names_component_layer_and_kernel(monkeypatch):
 
 
 def test_square_zero_failure_names_type_signs_and_degree():
-    cc = complex_for("A3", "+++")
+    g = build_graph("A3", "+++")
+    cc = assign_signs(g)
     # an edge path 0 -> j -> k lies on a complete diamond, so flipping its
     # first edge leaves d_1 o d_0 nonzero
     e = next(e for e in cc.signs if e[0] == 0 and any(a == e[1] for a, _ in cc.signs))
-    bad = dataclasses.replace(cc, signs={**cc.signs, e: -cc.signs[e]})
+    flipped = {**cc.signs, e: -cc.signs[e]}
     message = (
         "differential does not square to zero after solving for A3 eps=+++: "
         "d_1 o d_0 != 0 (C^0 -> C^2)"
     )
     with pytest.raises(Unsolvable, match=re.escape(message)):
-        cohomology._verify_square_zero(bad)
+        cohomology._verify_square_zero(g, cohomology._diamonds(g.edges)[0], flipped)
+
+
+def test_broken_diamond_raises_diamond_violation():
+    g = build_graph("A3", "---")
+    # drop one edge of a complete diamond: its interval keeps a single path
+    interval, plist = next(
+        (ik, p) for ik, p in cohomology._diamonds(g.edges)[0].items() if len(p) == 2
+    )
+    broken = dataclasses.replace(g, edges=tuple(e for e in g.edges if e != plist[0][0]))
+    assert interval in diamond_check(broken)
+    with pytest.raises(DiamondViolation) as info:
+        assign_signs(broken)
+    assert info.value.violations
+    assert set(info.value.violations) <= set(diamond_check(broken))

@@ -56,3 +56,8 @@ def test_d5_runs_integral_cohomology():
     named = by_name(run_checks("D5"))
     assert named["rational-betti"].status == "pass"
     assert named["total-betti"].status == "pass"
+
+
+def test_chevalley_order_runs_beyond_rank_four():
+    named = by_name(run_checks("A5"))
+    assert named["chevalley-order"].status == "pass"
