@@ -54,6 +54,7 @@ from .blowup import (
     format_signs,
     longest_blowups,
     minus_stable_elements,
+    pq_table,
     reflect_signs,
     restricted_blowup_poly,
     sign_vector,

@@ -9,9 +9,12 @@ blow-up count; the final vector of the walk is w^{-1} eps.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
-from .cartan import CartanMatrix, LieType, cartan_matrix
+from .cartan import CartanMatrix, LieType, cartan_matrix, positive_root_count
 from .qpoly import QPoly
 from .weyl import WeylElement, WeylGroup, enumerate_group, longest_element
 
@@ -92,9 +95,6 @@ class BlowupTable:
     def __getitem__(self, w) -> int:
         return self.counts[self.group.element_index(w)]
 
-    def final(self, w) -> Signs:
-        return self.final_signs[self.group.element_index(w)]
-
     @property
     def max_value(self) -> int:
         return max(self.counts)
@@ -128,15 +128,57 @@ def blowup_table(group_or_type, eps) -> BlowupTable:
 
 
 def blowup_poly(group_or_type, eps) -> QPoly:
-    """Alternating sum (-1)^{l(w*)} sum_w (-1)^{l(w)} q^{count(w)}."""
-    group = _coerce_group(group_or_type)
-    table = blowup_table(group, eps)
-    top = group.longest.length
-    coeffs: dict[int, int] = {}
-    for w, c in zip(group.elements, table.counts):
-        s = -1 if (top + w.length) % 2 else 1
-        coeffs[c] = coeffs.get(c, 0) + s
-    return QPoly(coeffs)
+    """Alternating sum (-1)^{l(w*)} sum_w (-1)^{l(w)} q^{count(w)}, looked up
+    in the type's pq_table: no element is walked and nothing is enumerated."""
+    g = group_or_type
+    t = LieType.parse(g.lie_type if isinstance(g, WeylGroup) else g)
+    return pq_table(t)[sign_vector(eps, t.rank)]
+
+
+@lru_cache(maxsize=None)
+def pq_table(t) -> Mapping[Signs, QPoly]:
+    """p_eps(q) for all 2^l sign vectors of type t, by the parabolic coset chain.
+
+    W_k = W_k^J . W_{k-1} (W_k on nodes 1..k) with lengths and counts adding,
+    so S_k(eps) = sum_u (-1)^{l(u)} q^{eta(u,eps)} S_{k-1}(final(u,eps)) over
+    the minimal left coset reps u, S_0 = 1 and p = (-1)^{l(w*)} S_l.  The reps
+    are the orbit of the k-th fundamental weight: s u is a new, longer rep iff
+    lam_s > 0, at lam - lam_s * (row s of C).  eta and final ride along for
+    every sign code x at once (bit j set: eps_{j+1} is minus), by
+    eta(s u, x) = [x_s = -] + eta(u, s x) and final(s u, x) = final(u, s x).
+    """
+    t = LieType.parse(t)
+    c = cartan_matrix(t)
+    l, n = t.rank, 1 << t.rank
+    flips = [sum(1 << j for j in range(l) if c[j][s] % 2) for s in range(l)]
+    act = [[x ^ flips[s] if x >> s & 1 else x for x in range(n)] for s in range(l)]
+    sums: list[dict[int, int]] = [{0: 1}] * n
+    for k in range(1, l + 1):
+        start = tuple(int(j == k - 1) for j in range(k))
+        reps = {start: (1, [0] * n, list(range(n)))}
+        points = [start]
+        for lam in points:
+            sign, eta, fin = reps[lam]
+            for s in range(k):
+                new = tuple(x - lam[s] * c[s][j] for j, x in enumerate(lam))
+                if lam[s] > 0 and new not in reps:
+                    a = act[s]
+                    eta_new = [(x >> s & 1) + eta[a[x]] for x in range(n)]
+                    reps[new] = (-sign, eta_new, [fin[a[x]] for x in range(n)])
+                    points.append(new)
+        level = []
+        for x in range(n):
+            acc: dict[int, int] = {}
+            for sign, eta, fin in reps.values():
+                for e, v in sums[fin[x]].items():
+                    acc[eta[x] + e] = acc.get(eta[x] + e, 0) + sign * v
+            level.append({e: v for e, v in acc.items() if v})
+        sums = level
+    top = -1 if positive_root_count(t) % 2 else 1
+    signs = (tuple(-1 if x >> j & 1 else 1 for j in range(l)) for x in range(n))
+    return MappingProxyType(
+        {eps: QPoly({e: top * v for e, v in poly.items()}) for eps, poly in zip(signs, sums)}
+    )
 
 
 def restricted_blowup_poly(group_or_type, eps=None) -> QPoly:

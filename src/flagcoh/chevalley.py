@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .blowup import blowup_poly
 from .cartan import LieType, compact_dual_data
 from .errors import BudgetExceeded, FieldNotSplit
 from .qpoly import QPoly, q_power_minus_one
@@ -110,8 +111,6 @@ def verify_order(t, field: PrimeField) -> dict:
     Only the families whose compact dual is a product of SO groups are
     eligible (A, C, D); B routes through U(l) and has no sphere oracle.
     """
-    from .blowup import blowup_poly
-
     t = LieType.parse(t)
     l = t.rank
     if t.family == "A":

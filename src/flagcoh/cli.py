@@ -94,9 +94,8 @@ def cmd_eta(args) -> int:
 
 def cmd_pq(args) -> int:
     t = LieType.parse(args.type)
-    group = enumerate_group(t, _cap(args))
     eps = blowup.sign_vector(args.eps, t.rank)
-    p = blowup.blowup_poly(group, eps)
+    p = blowup.blowup_poly(t, eps)
     payload = {
         "command": "pq",
         "type": str(t),
@@ -274,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("weyl", cmd_weyl)
     p.add_argument("--emit", choices=["lengths", "order", "word-of-longest"], default="lengths")
     add("eta", cmd_eta, eps=True)
-    add("pq", cmd_pq, eps=True)
+    add("pq", cmd_pq, eps=True, cap=False)
     p = add("graph", cmd_graph, eps=True)
     p.add_argument("--format", choices=["dot", "json"], default="json")
     p = add("cohomology", cmd_cohomology, eps=True)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from flagcoh import blowup, weyl
 from flagcoh.blowup import (
     all_minus,
     all_sign_vectors,
@@ -12,12 +13,13 @@ from flagcoh.blowup import (
     format_signs,
     longest_blowups,
     minus_stable_elements,
+    pq_table,
     reflect_signs,
     restricted_blowup_poly,
     sign_vector,
 )
-from flagcoh.cartan import cartan_matrix
-from flagcoh.qpoly import QPoly
+from flagcoh.cartan import cartan_matrix, compact_dual_data
+from flagcoh.qpoly import QPoly, q_power_minus_one
 from flagcoh.weyl import all_reduced_words, enumerate_group, longest_element, random_reduced_word
 
 
@@ -244,3 +246,49 @@ def test_table_steps_by_zero_or_one():
                 j = g.element_index(mat_mul(w.mat, simple_reflection(k, g.cartan).mat))
                 if g.elements[j].length == w.length + 1:
                     assert table.counts[j] - table.counts[i] in (0, 1)
+
+
+def _alternating_sum(group, eps):
+    """p_eps(q) walked over every element of W, from the blow-up table."""
+    table = blowup_table(group, eps)
+    top = group.longest.length
+    coeffs = {}
+    for w, c in zip(group.elements, table.counts):
+        coeffs[c] = coeffs.get(c, 0) + (-1) ** (top + w.length)
+    return QPoly(coeffs)
+
+
+def test_poly_equals_alternating_sum_over_w():
+    names = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5"]
+    names += ["C2", "C3", "C4", "C5", "D4", "D5", "F4", "G2"]
+    for name in names:
+        g = enumerate_group(name)
+        for eps in all_sign_vectors(g.rank):
+            assert blowup_poly(name, eps) == _alternating_sum(g, eps), (name, eps)
+    e6 = enumerate_group("E6")
+    for eps in [all_minus(6), sign_vector("-+--+-"), sign_vector("+-+--+")]:
+        assert blowup_poly(e6, eps) == _alternating_sum(e6, eps), eps
+
+
+@pytest.mark.parametrize("name", ["E7", "E8"])
+def test_poly_e7_e8_closed_form_and_vanishing(name):
+    l = int(name[1])
+    expected = QPoly.one()
+    for d in compact_dual_data(name).degrees:
+        expected = expected * q_power_minus_one(d)
+    p = blowup_poly(name, all_minus(l))
+    assert p == expected
+    assert p.degree == longest_blowups(name)
+    others = [eps for eps in all_sign_vectors(l) if eps != all_minus(l)]
+    assert len(others) == 2**l - 1
+    assert all(blowup_poly(name, eps).is_zero() for eps in others)
+
+
+def test_poly_enumerates_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_group called")
+
+    monkeypatch.setattr(blowup, "enumerate_group", refuse)
+    monkeypatch.setattr(weyl, "enumerate_group", refuse)
+    pq_table.cache_clear()
+    assert blowup_poly("E8", all_minus(8)).degree == 64

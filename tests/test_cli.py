@@ -32,6 +32,13 @@ def test_pq_a2(capsys):
     assert payload["factored"] == "(q^2-1)"
 
 
+def test_pq_e8_all_minus_needs_no_enumeration(capsys):
+    code, payload = run_json(capsys, "pq", "--type", "E8", "--eps", "--------")
+    assert code == 0
+    assert max(e for e, _ in payload["poly"]) == 64
+    assert payload["factored"] == "(q^2-1)*(q^4-1)*(q^6-1)*(q^8-1)^2*(q^10-1)*(q^12-1)*(q^14-1)"
+
+
 def test_pq_zero_vector(capsys):
     code, payload = run_json(capsys, "pq", "--type", "A2", "--eps", "-+")
     assert code == 0

@@ -61,3 +61,12 @@ def test_d5_runs_integral_cohomology():
 def test_chevalley_order_runs_beyond_rank_four():
     named = by_name(run_checks("A5"))
     assert named["chevalley-order"].status == "pass"
+
+
+def test_pq_checks_pass_on_e7_and_e8():
+    for name in ["E7", "E8"]:
+        named = by_name(run_checks(name))
+        for check in ["pq-closed-form", "pq-degree", "pq-at-one", "pq-vanishing"]:
+            assert named[check].status == "pass", (name, check, named[check].detail)
+        others = 2 ** int(name[1]) - 1
+        assert named["pq-vanishing"].detail == f"0 of {others} other sign vectors nonzero"
