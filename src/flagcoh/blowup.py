@@ -14,9 +14,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
+import numpy as np
+
 from .cartan import CartanMatrix, LieType, cartan_matrix, positive_root_count
 from .qpoly import QPoly
-from .weyl import WeylElement, WeylGroup, enumerate_group, longest_element
+from .weyl import WeylElement, WeylGroup, _coset_chain, enumerate_group, longest_element
 
 Signs = tuple[int, ...]  # entries are +1 or -1
 
@@ -110,21 +112,28 @@ def _coerce_group(group_or_type) -> WeylGroup:
 
 
 def blowup_table(group_or_type, eps) -> BlowupTable:
-    """Counts for all elements at once, by the BFS recurrence
-    count(w s_i) = count(w) + [ (w^{-1} eps)_i = - ]."""
+    """Counts for all elements at once, walking the chain digits w = u_l ... u_1
+    through each level's tables: count += eta(u_k, x), x = final(u_k, x)."""
     group = _coerce_group(group_or_type)
     eps = sign_vector(eps, group.rank)
-    cartan = group.cartan
-    n = group.order
-    counts = [0] * n
-    signs: list[Signs] = [eps] * n
-    for idx in range(1, n):
-        p = group.parent[idx]
-        i = group.parent_gen[idx]
-        sig = signs[p]
-        counts[idx] = counts[p] + (sig[i - 1] == -1)
-        signs[idx] = reflect_signs(i, sig, cartan)
-    return BlowupTable(group, eps, tuple(counts), tuple(signs))
+    x = np.full(group.order, _code(eps))
+    counts = np.zeros(group.order, np.int64)
+    for level, u in group.chain_digits():
+        counts += level.eta[u, x]
+        x = level.final[u, x]
+    signs = [_signs(code, group.rank) for code in range(1 << group.rank)]
+    return BlowupTable(
+        group, eps, tuple(counts.tolist()), tuple(map(signs.__getitem__, x.tolist()))
+    )
+
+
+def _code(eps: Signs) -> int:
+    """Sign code of eps: bit j set iff eps_{j+1} is minus."""
+    return sum(1 << j for j, x in enumerate(eps) if x == -1)
+
+
+def _signs(code: int, l: int) -> Signs:
+    return tuple(-1 if code >> j & 1 else 1 for j in range(l))
 
 
 def blowup_poly(group_or_type, eps) -> QPoly:
@@ -141,43 +150,26 @@ def pq_table(t) -> Mapping[Signs, QPoly]:
 
     W_k = W_k^J . W_{k-1} (W_k on nodes 1..k) with lengths and counts adding,
     so S_k(eps) = sum_u (-1)^{l(u)} q^{eta(u,eps)} S_{k-1}(final(u,eps)) over
-    the minimal left coset reps u, S_0 = 1 and p = (-1)^{l(w*)} S_l.  The reps
-    are the orbit of the k-th fundamental weight: s u is a new, longer rep iff
-    lam_s > 0, at lam - lam_s * (row s of C).  eta and final ride along for
-    every sign code x at once (bit j set: eps_{j+1} is minus), by
-    eta(s u, x) = [x_s = -] + eta(u, s x) and final(s u, x) = final(u, s x).
+    the minimal left coset reps u of the chain's level k, S_0 = 1 and
+    p = (-1)^{l(w*)} S_l.
     """
     t = LieType.parse(t)
-    c = cartan_matrix(t)
     l, n = t.rank, 1 << t.rank
-    flips = [sum(1 << j for j in range(l) if c[j][s] % 2) for s in range(l)]
-    act = [[x ^ flips[s] if x >> s & 1 else x for x in range(n)] for s in range(l)]
     sums: list[dict[int, int]] = [{0: 1}] * n
-    for k in range(1, l + 1):
-        start = tuple(int(j == k - 1) for j in range(k))
-        reps = {start: (1, [0] * n, list(range(n)))}
-        points = [start]
-        for lam in points:
-            sign, eta, fin = reps[lam]
-            for s in range(k):
-                new = tuple(x - lam[s] * c[s][j] for j, x in enumerate(lam))
-                if lam[s] > 0 and new not in reps:
-                    a = act[s]
-                    eta_new = [(x >> s & 1) + eta[a[x]] for x in range(n)]
-                    reps[new] = (-sign, eta_new, [fin[a[x]] for x in range(n)])
-                    points.append(new)
-        level = []
+    for level in _coset_chain(t):
+        signs = [-1 if x % 2 else 1 for x in level.lengths.tolist()]
+        reps = list(zip(signs, level.eta.tolist(), level.final.tolist()))
+        folded = []
         for x in range(n):
             acc: dict[int, int] = {}
-            for sign, eta, fin in reps.values():
+            for sign, eta, fin in reps:
                 for e, v in sums[fin[x]].items():
                     acc[eta[x] + e] = acc.get(eta[x] + e, 0) + sign * v
-            level.append({e: v for e, v in acc.items() if v})
-        sums = level
+            folded.append({e: v for e, v in acc.items() if v})
+        sums = folded
     top = -1 if positive_root_count(t) % 2 else 1
-    signs = (tuple(-1 if x >> j & 1 else 1 for j in range(l)) for x in range(n))
     return MappingProxyType(
-        {eps: QPoly({e: top * v for e, v in poly.items()}) for eps, poly in zip(signs, sums)}
+        {_signs(x, l): QPoly({e: top * v for e, v in poly.items()}) for x, poly in enumerate(sums)}
     )
 
 
@@ -186,12 +178,12 @@ def restricted_blowup_poly(group_or_type, eps=None) -> QPoly:
     group = _coerce_group(group_or_type)
     eps = all_minus(group.rank) if eps is None else sign_vector(eps, group.rank)
     table = blowup_table(group, eps)
-    top = group.longest.length
+    top = group.lengths[-1]
     coeffs: dict[int, int] = {}
-    for w, c, sig in zip(group.elements, table.counts, table.final_signs):
+    for length, c, sig in zip(group.lengths, table.counts, table.final_signs):
         if sig != eps:
             continue
-        s = -1 if (top + w.length) % 2 else 1
+        s = -1 if (top + length) % 2 else 1
         coeffs[c] = coeffs.get(c, 0) + s
     return QPoly(coeffs)
 

@@ -75,8 +75,8 @@ def cmd_eta(args) -> int:
     table = blowup.blowup_table(group, eps)
     values = [
         {
-            "word": word_label(group.elements[i].word),
-            "length": group.elements[i].length,
+            "word": word_label(group.word(i)),
+            "length": group.lengths[i],
             "eta": table.counts[i],
         }
         for i in group.canonical_order()

@@ -53,7 +53,7 @@ class ChainComplex:
         dims = self.dims()
         dense = [[[0] * dims[k] for _ in range(dims[k + 1])] for k in range(self.top_degree)]
         for (i, j), sign in self.signs.items():
-            dense[self.group.elements[i].length][pos[j]][pos[i]] = 2 * sign
+            dense[self.group.lengths[i]][pos[j]][pos[i]] = 2 * sign
         return tuple(tuple(map(tuple, m)) for m in dense)
 
 
@@ -201,14 +201,14 @@ def _solve_component(
         mask = (1 << pos[a1]) ^ (1 << pos[a2]) ^ (1 << pos[b1]) ^ (1 << pos[b2])
         equations.append((mask, 1))
 
-    els = graph.group.elements
+    lengths = graph.group.lengths
     slots: dict[int, list[int]] = {}
     for v in comp:
-        slots.setdefault(els[v].length, []).append(v)
+        slots.setdefault(lengths[v], []).append(v)
     local = {v: a for vs in slots.values() for a, v in enumerate(vs)}
     layer_edges: dict[int, list[int]] = {}
     for p, (i, _) in enumerate(edges):
-        layer_edges.setdefault(els[i].length, []).append(p)
+        layer_edges.setdefault(lengths[i], []).append(p)
 
     def block(k: int, packed: int) -> list[list[int]]:
         rows = [[0] * len(slots[k]) for _ in slots[k + 1]]
@@ -219,7 +219,7 @@ def _solve_component(
 
     where = (
         f"{graph.group.lie_type} eps={format_signs(graph.eps)}, component of "
-        f"{word_label(els[comp[0]].word)}"
+        f"{word_label(graph.group.word(comp[0]))}"
     )
     solved = _solve_gf2(equations, len(edges))
     if solved is None:
@@ -249,9 +249,9 @@ def _solve_component(
 def _verify_square_zero(graph: IncidenceGraph, paths, signs) -> None:
     """d o d = 0: over every interval, the sign products of its two-edge
     paths cancel.  Names the lowest degree where they do not."""
-    els = graph.group.elements
+    lengths = graph.group.lengths
     bad = [
-        els[i].length
+        lengths[i]
         for (i, _), plist in paths.items()
         if sum(signs[a] * signs[b] for a, b in plist)
     ]

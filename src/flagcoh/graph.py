@@ -29,8 +29,8 @@ class IncidenceGraph:
         return self.group.order
 
     def edge_words(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        els = self.group.elements
-        return [(els[i].word, els[j].word) for i, j in self.edges]
+        word = self.group.word
+        return [(word(i), word(j)) for i, j in self.edges]
 
 
 def build_graph(group_or_type, eps) -> IncidenceGraph:
@@ -95,14 +95,13 @@ def negative_components(graph: IncidenceGraph) -> int:
 def export_graph(graph: IncidenceGraph, fmt: str) -> str:
     """Serialize as 'dot' or 'json'; vertex order is (length, matrix key)."""
     order = graph.group.canonical_order()
-    els = graph.group.elements
+    word, lengths = graph.group.word, graph.group.lengths
     pos = {v: k for k, v in enumerate(order)}
     edges = sorted((pos[i], pos[j]) for i, j in graph.edges)
     if fmt == "dot":
         lines = ["digraph incidence {"]
         for v in order:
-            w = els[v]
-            label = f"{word_label(w.word)} | l={w.length} | eta={graph.counts[v]}"
+            label = f"{word_label(word(v))} | l={lengths[v]} | eta={graph.counts[v]}"
             lines.append(f'  n{pos[v]} [label="{label}"];')
         for a, b in edges:
             lines.append(f"  n{a} -> n{b};")
@@ -114,8 +113,8 @@ def export_graph(graph: IncidenceGraph, fmt: str) -> str:
             "eps": format_signs(graph.eps),
             "vertices": [
                 {
-                    "word": list(els[v].word),
-                    "length": els[v].length,
+                    "word": list(word(v)),
+                    "length": lengths[v],
                     "eta": graph.counts[v],
                     "sign": format_signs(graph.final_signs[v]),
                 }

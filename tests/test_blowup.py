@@ -292,3 +292,17 @@ def test_poly_enumerates_nothing(monkeypatch):
     monkeypatch.setattr(weyl, "enumerate_group", refuse)
     pq_table.cache_clear()
     assert blowup_poly("E8", all_minus(8)).degree == 64
+
+
+def test_e6_tables_build_no_elements(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("WeylElement built")
+
+    top = longest_blowups("E6")
+    monkeypatch.setattr(weyl, "WeylElement", refuse)
+    group = weyl._enumerate.__wrapped__("E", 6, weyl.DEFAULT_CAP)
+    assert group.length_distribution()[:4] == [1, 6, 20, 50]
+    for eps in all_sign_vectors(6):
+        blowup_poly(group, eps)
+    assert blowup_table(group, all_minus(6)).max_value == top
+    assert len(group.cover_pairs()) == 459_588

@@ -172,3 +172,22 @@ def test_cap_env_override(capsys, monkeypatch):
     monkeypatch.delenv("FLAGCOH_CAP")
     assert main(["weyl", "--type", "A3", "--emit", "order"]) == 0
     capsys.readouterr()
+
+
+def test_weyl_e7_under_default_cap_builds_no_elements(capsys, monkeypatch):
+    from flagcoh import weyl
+    from flagcoh.cartan import cartan_matrix
+    from flagcoh.verify import _height_product
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("WeylElement built")
+
+    monkeypatch.setattr(weyl, "WeylElement", refuse)
+    try:
+        code, payload = run_json(capsys, "weyl", "--type", "E7", "--emit", "order")
+        assert code == 0 and payload["order"] == 2_903_040
+        code, payload = run_json(capsys, "weyl", "--type", "E7", "--emit", "lengths")
+        assert code == 0
+        assert tuple(payload["lengths"]) == _height_product(cartan_matrix("E7"))
+    finally:
+        weyl._enumerate.cache_clear()  # the E7 tables hold about 110 MB

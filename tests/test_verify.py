@@ -70,3 +70,11 @@ def test_pq_checks_pass_on_e7_and_e8():
             assert named[check].status == "pass", (name, check, named[check].detail)
         others = 2 ** int(name[1]) - 1
         assert named["pq-vanishing"].detail == f"0 of {others} other sign vectors nonzero"
+
+
+def test_mod2_dims_is_checked_against_the_height_product(monkeypatch):
+    from flagcoh import cohomology
+
+    assert by_name(run_checks("B3"))["mod2-dims"].status == "pass"
+    monkeypatch.setattr(cohomology, "mod2_dims", lambda group: (1,) * 10)
+    assert by_name(run_checks("B3"))["mod2-dims"].status == "fail"

@@ -220,3 +220,41 @@ def test_deterministic_enumeration():
     a = enumerate_group("B3")
     fresh = _enumerate.__wrapped__("B", 3, 3_000_000)
     assert [w.word for w in a.elements] == [w.word for w in fresh.elements]
+
+
+def _bfs_oracle(name):
+    """The group by matrix BFS under right multiplication, ties to the
+    smallest generator: (elements as (mat, length, word), index by matrix)."""
+    c = cartan_matrix(name)
+    gens = [simple_reflection(i, c).mat for i in range(1, c.rank + 1)]
+    elements = [(identity(c.rank), 0, ())]
+    index = {elements[0][0]: 0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for idx in frontier:
+            mat, length, word = elements[idx]
+            for i, gen in enumerate(gens, 1):
+                new = mat_mul(mat, gen)
+                if new not in index:
+                    index[new] = len(elements)
+                    elements.append((new, length + 1, word + (i,)))
+                    nxt.append(index[new])
+        frontier = nxt
+    return elements, index
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "F4", "G2"],
+)
+def test_coset_tables_match_bfs_oracle(name):
+    g = enumerate_group(name)
+    elements, index = _bfs_oracle(name)
+    assert [(w.mat, w.length, w.word) for w in g.elements] == elements
+    assert g.index == index
+    assert g.lengths == [length for _, length, _ in elements]
+    assert [g.word(i) for i in range(g.order)] == [word for _, _, word in elements]
+    for s in range(1, g.rank + 1):
+        gen = simple_reflection(s, g.cartan).mat
+        assert g.left[s - 1].tolist() == [index[mat_mul(gen, mat)] for mat, _, _ in elements]
