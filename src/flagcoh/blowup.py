@@ -18,7 +18,7 @@ import numpy as np
 
 from .cartan import CartanMatrix, LieType, cartan_matrix, positive_root_count
 from .qpoly import QPoly
-from .weyl import WeylElement, WeylGroup, _coset_chain, enumerate_group, longest_element
+from .weyl import WeylElement, WeylGroup, _coset_chain, _letter, enumerate_group, longest_element
 
 Signs = tuple[int, ...]  # entries are +1 or -1
 
@@ -74,7 +74,7 @@ def blowup_count(w, eps, cartan: CartanMatrix) -> int:
     eps = sign_vector(eps, cartan.rank)
     count = 0
     for i in _word_of(w):
-        if eps[i - 1] == -1:
+        if eps[_letter(i, cartan.rank)] == -1:
             count += 1
         eps = reflect_signs(i, eps, cartan)
     return count
@@ -112,19 +112,28 @@ def _coerce_group(group_or_type) -> WeylGroup:
 
 
 def blowup_table(group_or_type, eps) -> BlowupTable:
-    """Counts for all elements at once, walking the chain digits w = u_l ... u_1
-    through each level's tables: count += eta(u_k, x), x = final(u_k, x)."""
+    """Counts and final sign vectors for all elements at once (chain_walk)."""
     group = _coerce_group(group_or_type)
     eps = sign_vector(eps, group.rank)
+    return BlowupTable(group, eps, *_as_tuples(*chain_walk(group, eps), group.rank))
+
+
+def chain_walk(group: WeylGroup, eps: Signs) -> tuple[np.ndarray, np.ndarray]:
+    """Every element's blow-up count and final sign code from eps, walking the
+    chain digits w = u_l ... u_1 through each level's tables: count +=
+    eta(u_k, x), x = final(u_k, x)."""
     x = np.full(group.order, _code(eps))
     counts = np.zeros(group.order, np.int64)
     for level, u in group.chain_digits():
         counts += level.eta[u, x]
         x = level.final[u, x]
-    signs = [_signs(code, group.rank) for code in range(1 << group.rank)]
-    return BlowupTable(
-        group, eps, tuple(counts.tolist()), tuple(map(signs.__getitem__, x.tolist()))
-    )
+    return counts, x
+
+
+def _as_tuples(counts: np.ndarray, codes: np.ndarray, l: int):
+    """chain_walk's arrays as (counts, final sign vectors) tuples."""
+    signs = [_signs(code, l) for code in range(1 << l)]
+    return tuple(counts.tolist()), tuple(map(signs.__getitem__, codes.tolist()))
 
 
 def _code(eps: Signs) -> int:
@@ -192,8 +201,8 @@ def minus_stable_elements(group_or_type) -> list[WeylElement]:
     """Elements whose sign walk returns all-minus to all-minus (the set W^-)."""
     group = _coerce_group(group_or_type)
     eps = all_minus(group.rank)
-    table = blowup_table(group, eps)
-    return [w for w, sig in zip(group.elements, table.final_signs) if sig == eps]
+    codes = chain_walk(group, eps)[1]
+    return [group.elements[i] for i in np.flatnonzero(codes == _code(eps)).tolist()]
 
 
 def longest_blowups(t, eps=None) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .blowup import Signs, all_minus, blowup_table, format_signs, sign_vector
+from .blowup import Signs, _as_tuples, all_minus, chain_walk, format_signs, sign_vector
 from .weyl import WeylGroup, word_label
 
 
@@ -34,22 +34,23 @@ class IncidenceGraph:
 
 
 def build_graph(group_or_type, eps) -> IncidenceGraph:
+    """Edges and condition-c failures picked from the stored covers by masks
+    over every element's blow-up count and final sign code."""
     from .blowup import _coerce_group
 
     group = _coerce_group(group_or_type)
     eps = sign_vector(eps, group.rank)
-    table = blowup_table(group, eps)
-    edges = []
-    failures = []
-    for i, j in group.cover_pairs():
-        if table.final_signs[i] != table.final_signs[j]:
-            continue
-        if table.counts[i] == table.counts[j]:
-            edges.append((i, j))
-        else:
-            failures.append((i, j))
+    counts, codes = chain_walk(group, eps)
+    bottom, top = group.covers()
+    same = codes[bottom] == codes[top]
+    flat = counts[bottom] == counts[top]
+
+    def pairs(mask):
+        return tuple(zip(bottom[mask].tolist(), top[mask].tolist()))
+
     return IncidenceGraph(
-        group, eps, table.counts, table.final_signs, tuple(edges), tuple(failures)
+        group, eps, *_as_tuples(counts, codes, group.rank),
+        pairs(same & flat), pairs(same & ~flat),
     )
 
 
@@ -132,12 +133,12 @@ def graph_from_json(text: str, group: WeylGroup) -> IncidenceGraph:
     if payload["type"] != str(group.lie_type):
         raise ValueError("type mismatch between payload and group")
     eps = sign_vector(payload["eps"], group.rank)
-    from .weyl import word_matrix
-
-    idx = [
-        group.element_index(word_matrix(tuple(v["word"]), group.cartan))
-        for v in payload["vertices"]
-    ]
+    idx = []
+    for k, v in enumerate(payload["vertices"]):
+        try:
+            idx.append(group.word_index(tuple(v["word"])))
+        except ValueError as e:
+            raise ValueError(f"vertex {k}: {e}") from None
     counts = [0] * group.order
     signs: list[Signs] = [eps] * group.order
     for v, i in zip(payload["vertices"], idx):

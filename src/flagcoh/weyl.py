@@ -1,8 +1,7 @@
 """Weyl groups: the parabolic coset chain, enumeration, reduced words,
 Bruhat covers, longest element.
 
-Elements act on the root lattice in the simple-root basis; the integer
-matrix of that action is the canonical key.  W is stored over the parabolic
+An element's handle is its index.  W is stored over the parabolic
 coset chain W_k = W_k^J . W_{k-1} (W_k on the nodes 1..k): w = u_l ... u_1
 with u_k a minimal left coset representative of W_k / W_{k-1}, so lengths
 add and reduced words concatenate.  The representatives of level k are the
@@ -16,7 +15,11 @@ word as a (first letter, rest) tree.  Element indices run by length, then
 by lexicographically least reduced word (the order of a breadth-first
 search under right multiplication, ties to the smallest generator), so
 element order, lengths and stored reduced words are deterministic across
-runs.  WeylElements, with their matrices, are built only when read.
+runs.  A reduced word reaches its index by a walk from e through the left
+permutations, and the Bruhat covers are stored once, as two index arrays.
+The integer matrices of the action on the simple-root basis only fix the
+output order (canonical_order) and back the matrix-keyed `index`; they and
+the WeylElements are built only when read.
 """
 
 from __future__ import annotations
@@ -49,6 +52,13 @@ class WeylElement:
 def word_label(word) -> str:
     """A reduced word as its digits, or 'e' for the identity."""
     return "e" if not word else "".join(str(i) for i in word)
+
+
+def _letter(i: int, l: int) -> int:
+    """The 0-based position of letter i, which must lie in 1..l."""
+    if not 1 <= i <= l:
+        raise ValueError(f"letter {i} out of range 1..{l}")
+    return i - 1
 
 
 def reflection_matrix(i: int, cartan: CartanMatrix) -> Matrix:
@@ -228,8 +238,30 @@ class WeylGroup:
         return self._index
 
     def element_index(self, w) -> int:
-        mat = w.mat if isinstance(w, WeylElement) else w
-        return self.index[mat]
+        """Index of a WeylElement by its word, checked against its length and
+        matrix; a bare Matrix is looked up in `index`."""
+        if not isinstance(w, WeylElement):
+            return self.index[w]
+        i = self.word_index(w.word)
+        if w.length != len(w.word) or word_matrix(w.word, self.cartan) != w.mat:
+            raise ValueError(f"{word_label(w.word)} is not an element of W({self.lie_type})")
+        return i
+
+    def word_index(self, word) -> int:
+        """Index of the element with reduced word (a1, ..., am), walked from e
+        through the left permutations: s_{a1} (... (s_{am} e))."""
+        i = 0
+        for s in reversed(word):
+            i = self.left[_letter(s, self.rank), i]
+        if self._lengths[i] != len(word):
+            raise ValueError(f"word {word_label(word)} is not reduced")
+        return int(i)
+
+    def descents(self, i: int) -> list[tuple[int, int]]:
+        """(s, index of s w_i) for every left descent s of element i."""
+        lengths = self.lengths
+        down = enumerate(self.left[:, i].tolist(), 1)
+        return [(s, j) for s, j in down if lengths[j] < lengths[i]]
 
     def word(self, i: int) -> tuple[int, ...]:
         """The least reduced word of element i, read down the tree."""
@@ -262,10 +294,6 @@ class WeylGroup:
         off = self._offsets
         return [b - a for a, b in zip(off, off[1:])]
 
-    def inverse_mat(self, w: WeylElement) -> Matrix:
-        """Matrix of w^{-1}, as the product over the reversed reduced word."""
-        return word_matrix(reversed(w.word), self.cartan)
-
     def reflections(self) -> frozenset:
         """Matrix keys of all reflections, generated by the root orbit."""
         if self._reflections is None:
@@ -275,7 +303,13 @@ class WeylGroup:
         return self._reflections
 
     def cover_pairs(self) -> tuple[tuple[int, int], ...]:
-        """All Bruhat covers (i, j) with length(j) = length(i) + 1.
+        """All Bruhat covers (i, j), sorted, as a tuple built from covers()."""
+        bottom, top = self.covers()
+        return tuple(zip(bottom.tolist(), top.tolist()))
+
+    def covers(self) -> tuple[np.ndarray, np.ndarray]:
+        """All Bruhat covers i < j (length(j) = length(i) + 1) as two int32
+        arrays (bottom i, top j), sorted by (i, j).
 
         Left lifting property: for w = s p with p = rest[w], the coatoms of
         w are p and every s v with v a coatom of p and s v > v; built one
@@ -299,7 +333,7 @@ class WeylGroup:
                 bottoms.append(coat)
                 tops.append(owners[by_owner])
             key = np.sort(np.concatenate(bottoms).astype(np.int64) * n + np.concatenate(tops))
-            self._covers = tuple(zip((key // n).tolist(), (key % n).tolist()))
+            self._covers = (key // n).astype(np.int32), (key % n).astype(np.int32)
         return self._covers
 
     def matrices(self) -> np.ndarray:
@@ -328,10 +362,12 @@ class WeylGroup:
 
     def covers_up(self) -> dict[int, tuple[int, ...]]:
         if self._cover_up is None:
-            up: dict[int, list[int]] = {}
-            for i, j in self.cover_pairs():
-                up.setdefault(i, []).append(j)
-            self._cover_up = {i: tuple(sorted(js)) for i, js in up.items()}
+            bottom, top = self.covers()
+            starts = np.flatnonzero(np.diff(bottom, prepend=-1))
+            self._cover_up = {
+                i: tuple(js.tolist())
+                for i, js in zip(bottom[starts].tolist(), np.split(top, starts[1:]))
+            }
         return self._cover_up
 
 
@@ -483,12 +519,12 @@ def longest_element(t) -> WeylElement:
 
 
 def bruhat_cover(group: WeylGroup, w1: WeylElement, w2: WeylElement) -> bool:
-    """True iff w2 covers w1: lengths differ by one and w1^{-1} w2 reflects."""
-    if w1.mat not in group.index or w2.mat not in group.index:
-        raise ValueError("elements do not belong to this group")
-    if w2.length != w1.length + 1:
-        return False
-    return mat_mul(group.inverse_mat(w1), w2.mat) in group.reflections()
+    """True iff w2 covers w1, looked up in the group's stored covers."""
+    i, j = group.element_index(w1), group.element_index(w2)
+    bottom, top = group.covers()
+    lo, hi = np.searchsorted(bottom, [i, i + 1])
+    k = lo + np.searchsorted(top[lo:hi], j)
+    return bool(k < hi and top[k] == j)
 
 
 def word_matrix(word, cartan: CartanMatrix) -> Matrix:
@@ -496,42 +532,27 @@ def word_matrix(word, cartan: CartanMatrix) -> Matrix:
     mat = identity(cartan.rank)
     updates = _column_updates(cartan)
     for i in word:
-        mat = _apply_update(mat, updates[i - 1], i - 1)
+        k = _letter(i, cartan.rank)
+        mat = _apply_update(mat, updates[k], k)
     return mat
 
 
-def right_descents(mat: Matrix) -> list[int]:
-    """Generators i with w(alpha_i) negative, i.e. l(w s_i) < l(w)."""
-    l = len(mat)
-    return [i + 1 for i in range(l) if all(mat[r][i] <= 0 for r in range(l))]
-
-
 def all_reduced_words(group: WeylGroup, w: WeylElement) -> list[tuple[int, ...]]:
-    """Every reduced word of w, by recursion over right descents."""
-    updates = _column_updates(group.cartan)
-    cache: dict[Matrix, list[tuple[int, ...]]] = {identity(group.rank): [()]}
+    """Every reduced word of w, by recursion over left descents."""
+    cache: dict[int, list[tuple[int, ...]]] = {0: [()]}
 
-    def rec(mat: Matrix) -> list[tuple[int, ...]]:
-        got = cache.get(mat)
-        if got is not None:
-            return got
-        words = []
-        for i in right_descents(mat):
-            shorter = _apply_update(mat, updates[i - 1], i - 1)
-            words.extend(word + (i,) for word in rec(shorter))
-        cache[mat] = words
-        return words
+    def rec(i: int) -> list[tuple[int, ...]]:
+        if i not in cache:
+            cache[i] = [(s,) + word for s, j in group.descents(i) for word in rec(j)]
+        return cache[i]
 
-    return rec(w.mat)
+    return rec(group.element_index(w))
 
 
 def random_reduced_word(group: WeylGroup, w: WeylElement, rng) -> tuple[int, ...]:
-    """One reduced word of w, chosen by random descent walks."""
-    updates = _column_updates(group.cartan)
-    mat = w.mat
-    rev = []
-    for _ in range(w.length):
-        i = rng.choice(right_descents(mat))
-        rev.append(i)
-        mat = _apply_update(mat, updates[i - 1], i - 1)
-    return tuple(reversed(rev))
+    """One reduced word of w, chosen by a random walk down left descents."""
+    i, word = group.element_index(w), []
+    while i:
+        s, i = rng.choice(group.descents(i))
+        word.append(s)
+    return tuple(word)

@@ -151,6 +151,42 @@ def test_minus_stable_elements():
     assert len(a2) == 2  # 2^g with g = 1
 
 
+def _count_elements(monkeypatch) -> list:
+    """Patch weyl.WeylElement to record each construction; returns the record."""
+    built = []
+
+    class Counted(weyl.WeylElement):
+        def __init__(self, *args):
+            built.append(args[2])
+            super().__init__(*args)
+
+    monkeypatch.setattr(weyl, "WeylElement", Counted)
+    return built
+
+
+def test_minus_stable_elements_build_only_the_stable_ones(monkeypatch):
+    built = _count_elements(monkeypatch)
+    group = weyl._enumerate.__wrapped__("E", 6, weyl.DEFAULT_CAP)
+    stable = minus_stable_elements(group)
+    assert len(stable) == len(built) == 1440  # criterion 12's |W-| on E6
+    assert sorted(built) == sorted(w.word for w in stable)
+
+
+def test_e6_lookup_of_longest_builds_one_element(monkeypatch):
+    top = longest_blowups("E6")
+    built = _count_elements(monkeypatch)
+    group = weyl._enumerate.__wrapped__("E", 6, weyl.DEFAULT_CAP)
+    table = blowup_table(group, all_minus(6))
+    assert table[group.longest] == top == 20
+    assert len(built) <= 1
+
+
+@pytest.mark.parametrize("letter", [0, 3])
+def test_blowup_count_rejects_out_of_range_letters(letter):
+    with pytest.raises(ValueError, match=f"letter {letter} out of range 1..2"):
+        blowup_count((letter,), "-+", cartan_matrix("A2"))
+
+
 def test_restricted_sum_equals_full():
     for name in ["A2", "A3", "B2", "B3", "C3", "D4", "G2"]:
         g = enumerate_group(name)

@@ -145,3 +145,12 @@ def test_json_round_trip():
     assert back.edges == tuple(sorted(g.edges))
     assert back.counts == g.counts
     assert back.final_signs == g.final_signs
+
+
+@pytest.mark.parametrize("word, reason", [([1, 1, 1], "not reduced"), ([0], "letter 0")])
+def test_json_rejects_invalid_words(word, reason):
+    g = build_graph("A2", "--")
+    payload = json.loads(export_graph(g, "json"))
+    payload["vertices"][2]["word"] = word
+    with pytest.raises(ValueError, match=f"vertex 2: .*{reason}"):
+        graph_from_json(json.dumps(payload), g.group)

@@ -48,6 +48,12 @@ def test_reflection_index_range():
         simple_reflection(3, c)
 
 
+@pytest.mark.parametrize("letter", [0, 3, -1])
+def test_word_matrix_rejects_out_of_range_letters(letter):
+    with pytest.raises(ValueError, match=f"letter {letter} out of range 1..2"):
+        word_matrix((1, letter), cartan_matrix("A2"))
+
+
 @pytest.mark.parametrize(
     "name,order",
     [("A1", 2), ("A2", 6), ("A3", 24), ("A4", 120), ("B2", 8), ("B3", 48),
@@ -109,25 +115,27 @@ def test_longest_matches_enumeration():
         assert longest_element(name).mat == g.longest.mat
 
 
-def _subword_le(uword, wwords):
-    """Bruhat order oracle: u <= w iff some reduced word of w has a reduced
-    word of u as a subsequence; on tiny groups, check all pairs of words."""
+def _subword_le(uwords, wword):
+    """Bruhat order oracle, the subword property (Bjorner & Brenti, GTM 231,
+    Thm 2.2.2): u <= w iff one fixed reduced word of w has some reduced word
+    of u as a subsequence."""
 
     def contains(big, small):
         it = iter(big)
         return all(ch in it for ch in small)
 
-    return any(contains(big, uword) for big in wwords)
+    return any(contains(wword, small) for small in uwords)
 
 
-def test_bruhat_cover_against_subword_oracle_a2():
-    g = enumerate_group("A2")
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
+def test_bruhat_cover_against_subword_oracle(name):
+    g = enumerate_group(name)
     words = {i: all_reduced_words(g, w) for i, w in enumerate(g.elements)}
     for i, u in enumerate(g.elements):
         for j, w in enumerate(g.elements):
             expected = (
                 w.length == u.length + 1
-                and _subword_le(words[i][0], words[j])
+                and _subword_le(words[i], words[j][0])
             )
             assert bruhat_cover(g, u, w) == expected
 
