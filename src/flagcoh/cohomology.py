@@ -33,7 +33,6 @@ from .weyl import WeylGroup, word_label
 class ChainComplex:
     group: WeylGroup
     eps: Signs
-    degree_elements: tuple[tuple[int, ...], ...]  # element indices per length
     signs: dict[tuple[int, int], int]  # graph edge (i, j) -> +-1; the entry is 2 * sign
     # smith[k]: the nonzero Smith divisors of every component's C^k -> C^{k+1}
     # block, pooled and sorted; SNF(2B) = 2 SNF(B), so each is 2 * odd
@@ -41,15 +40,15 @@ class ChainComplex:
 
     @property
     def top_degree(self) -> int:
-        return len(self.degree_elements) - 1
+        return len(self.group.length_distribution()) - 1
 
     def dims(self) -> tuple[int, ...]:
-        return tuple(len(layer) for layer in self.degree_elements)
+        return tuple(self.group.length_distribution())
 
     @property
     def diffs(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Dense layers, diffs[k]: C^k -> C^{k+1}, built from the edge signs."""
-        pos = {v: a for layer in self.degree_elements for a, v in enumerate(layer)}
+        pos = {v: a for layer in self.group.by_length() for a, v in enumerate(layer)}
         dims = self.dims()
         dense = [[[0] * dims[k] for _ in range(dims[k + 1])] for k in range(self.top_degree)]
         for (i, j), sign in self.signs.items():
@@ -158,9 +157,8 @@ def assign_signs(graph: IncidenceGraph, gauge: str = "forward") -> ChainComplex:
     for e in edges:
         comp_edges[comp_of[e[0]]].append(e)
 
-    layers = graph.group.by_length()
     signs: dict[tuple[int, int], int] = {}
-    smith: list[list[int]] = [[] for _ in layers[1:]]
+    smith: list[list[int]] = [[] for _ in graph.group.length_distribution()[1:]]
     for comp, es in zip(comps, comp_edges):
         comp_signs, diags = _solve_component(graph, comp, es, [e for e in es if e in forced])
         signs.update(comp_signs)
@@ -170,7 +168,6 @@ def assign_signs(graph: IncidenceGraph, gauge: str = "forward") -> ChainComplex:
     return ChainComplex(
         graph.group,
         graph.eps,
-        tuple(tuple(l) for l in layers),
         signs,
         tuple(tuple(sorted(s)) for s in smith),
     )

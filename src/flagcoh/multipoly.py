@@ -142,16 +142,20 @@ class MultiPoly:
     __repr__ = __str__
 
 
-def det(matrix: list[list[MultiPoly]]) -> MultiPoly:
-    """Determinant by Laplace expansion with a subset DP over columns."""
+def leading_minors(matrix: list[list[MultiPoly]]) -> list[MultiPoly]:
+    """All n leading principal minors from one Laplace expansion.
+
+    A subset DP over columns, row by row: after row k-1, dp[mask] is the
+    minor of the first k rows on the column subset `mask`, so the entry for
+    the first k columns is the k-th leading minor."""
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
     vars = matrix[0][0].vars
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    # dp[mask] = determinant of the processed rows on the column subset `mask`
     dp = {0: MultiPoly.constant(vars, 1)}
+    minors = []
     for r, row in enumerate(matrix):
         ndp: dict[int, MultiPoly] = {}
         for mask, minor in dp.items():
@@ -171,4 +175,10 @@ def det(matrix: list[list[MultiPoly]]) -> MultiPoly:
                     key = mask | bit
                     ndp[key] = ndp.get(key, MultiPoly.zero(vars)) + term
         dp = ndp
-    return dp.get((1 << n) - 1, MultiPoly.zero(vars))
+        minors.append(dp.get((1 << (r + 1)) - 1, MultiPoly.zero(vars)))
+    return minors
+
+
+def det(matrix: list[list[MultiPoly]]) -> MultiPoly:
+    """Determinant: the last leading minor."""
+    return leading_minors(matrix)[-1]

@@ -1,21 +1,26 @@
 """Nilpotent Toda tau-functions as exact polynomials, and their degrees.
 
-All tau-functions here are Wronskian determinants of complete homogeneous
-functions h_k (plus bordered variants), with rows shifted through the
-identity dh_n/dt_1 = h_{n-1}: no symbolic differentiation is performed,
-only index shifts.  Variables carry weight 1 each (including the extra
-flow parameter s of the D family), so minimal total degree is a plain
-minimum over exponent sums.
+Every tau-function of a type is a leading principal minor of one matrix,
+as tau_k is for the Toda lattice (Kodama and McLaughlin, Lett. Math.
+Phys. 37, 1996): the Wronskian of a generator list g_1..g_n of complete
+homogeneous functions h_k, whose k-th leading minor is Wr(g_1..g_k).
+Rows are shifted through the identity dh_n/dt_1 = h_{n-1}: no symbolic
+differentiation is performed, only index shifts, and one Laplace
+expansion (multipoly.leading_minors) gives all taus of the type.
+Variables carry weight 1 each (including the extra flow parameter s of
+the D family), so minimal total degree is a plain minimum over exponent
+sums.
 
 Per family the generator lists are:
-  A_l : tau_k = (-1)^{k(k-1)/2} S_{(l-k+1,...,l)} on t_1..t_l
+  A_l : tau_k = Wr(h_l,...,h_{l-k+1}) on t_1..t_l
   B_l : tau_k = Wr(h_{2l},...,h_{2l-k+1}), k < l, odd t's only;
         tau_l squared is the full l x l Wronskian
   C_l : tau_k = Wr(h_{2l-1},...,h_{2l-k}), odd t's only
   D_l : generators s h_{l-a} + 2 h_{2l-1-a} (l even) or
         s^2 + 2h_{2l-2}, 2h_{2l-3}, ... (l odd) on odd t's and s;
-        tau_{l-1} tau_l is one Wronskian and tau_l squared is a bordered
-        symmetric determinant
+        tau_{l-1} tau_l is their Wronskian and tau_l squared is the
+        symmetric determinant that borders it, so the bordered matrix's
+        leading minors are all of D's taus
   G_2 : tau_1 = h_6, tau_2 = Wr(h_6, h_5) on t_1, t_5
 E and F have no such formulas and are rejected.
 """
@@ -27,7 +32,7 @@ from fractions import Fraction
 
 from .cartan import LieType
 from .errors import OddSquaredDegree, UnsupportedType, ZeroPolynomial
-from .multipoly import MultiPoly, det
+from .multipoly import MultiPoly, det, leading_minors
 
 PLAIN = "plain"
 SQUARED = "squared"  # stores tau^2, contributes half its degree
@@ -35,9 +40,13 @@ PRODUCT = "product"  # stores tau_{l-1} * tau_l
 
 # An h-expression maps (s_power, h_index) -> coefficient; h_0 = 1 and the
 # t_1-shift sends (a, m) to (a, m-1), killing m = 0 (s is a constant).
-HExpr = dict[tuple[int, int], Fraction]
+HExpr = dict[tuple[int, int], int]
 
 _MAX_DIM = 6  # largest rank whose exact determinants are attempted
+
+
+def _h(m: int) -> HExpr:
+    return {(0, m): 1}
 
 
 def _shift(expr: HExpr) -> HExpr:
@@ -59,26 +68,32 @@ def _h_series(vars, weights, top: int) -> list[MultiPoly]:
     return hs
 
 
-def _expr_poly(expr: HExpr, hs, s_pows) -> MultiPoly:
-    acc = None
-    for (a, m), c in sorted(expr.items()):
-        if m >= len(hs):
-            raise ValueError("h series too short")
-        term = s_pows[a] * hs[m] * c
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else hs[0] * 0
+def _polys(rows: list[list[HExpr]], active, with_s: bool = False) -> list[list[MultiPoly]]:
+    """A matrix of h-expressions as polynomials in t_j (j in active), then s."""
+    active = tuple(active)
+    top = max((m for row in rows for expr in row for _, m in expr), default=0)
+    vars = tuple(f"t{j}" for j in active) + (("s",) * with_s)
+    hs = _h_series(vars, active + (0,) * with_s, top)
+    s = MultiPoly.variable(vars, "s") if with_s else None
+
+    def poly(expr: HExpr) -> MultiPoly:
+        acc = MultiPoly.zero(vars)
+        for (a, m), c in sorted(expr.items()):
+            acc = acc + (s**a * hs[m] if a else hs[m]) * c
+        return acc
+
+    return [[poly(expr) for expr in row] for row in rows]
 
 
-def _wronskian(generators: list[HExpr], hs, s_pows) -> MultiPoly:
+def _wronskian(gens: list[HExpr]) -> list[list[HExpr]]:
+    """One row g, g', g'', ... per generator, as wide as there are generators."""
     rows = []
-    for g in generators:
-        row = []
-        expr = g
-        for _ in range(len(generators)):
-            row.append(_expr_poly(expr, hs, s_pows))
-            expr = _shift(expr)
+    for g in gens:
+        row = [g]
+        while len(row) < len(gens):
+            row.append(_shift(row[-1]))
         rows.append(row)
-    return det(rows)
+    return rows
 
 
 def complete_homogeneous(k: int, active=None) -> MultiPoly:
@@ -86,10 +101,7 @@ def complete_homogeneous(k: int, active=None) -> MultiPoly:
     if k < 0:
         raise ValueError("negative index")
     active = tuple(sorted(active)) if active is not None else tuple(range(1, k + 1))
-    if not active:
-        active = (1,)
-    vars = tuple(f"t{j}" for j in active)
-    return _h_series(vars, active, k)[k]
+    return _polys([[_h(k)]], active or (1,))[0][0]
 
 
 def schur_wronskian(indices, active=None) -> MultiPoly:
@@ -97,13 +109,8 @@ def schur_wronskian(indices, active=None) -> MultiPoly:
     indices = tuple(indices)
     if not indices or any(b <= a for a, b in zip(indices, indices[1:])) or indices[0] < 1:
         raise ValueError(f"indices must be strictly increasing and >= 1: {indices}")
-    top = indices[-1]
-    active = tuple(sorted(active)) if active is not None else tuple(range(1, top + 1))
-    vars = tuple(f"t{j}" for j in active)
-    hs = _h_series(vars, active, top)
-    one = MultiPoly.constant(vars, 1)
-    gens = [{(0, i): Fraction(1)} for i in indices]
-    return _wronskian(gens, hs, [one])
+    active = sorted(active) if active is not None else range(1, indices[-1] + 1)
+    return det(_polys(_wronskian([_h(i) for i in indices]), active))
 
 
 @dataclass
@@ -141,94 +148,32 @@ class TauFamily:
         return sum(self.min_degrees())
 
 
-def _family_a(l: int) -> list[TauEntry]:
-    vars = tuple(f"t{j}" for j in range(1, l + 1))
-    active = tuple(range(1, l + 1))
-    hs = _h_series(vars, active, l)
-    one = MultiPoly.constant(vars, 1)
-    entries = []
-    for k in range(1, l + 1):
-        gens = [{(0, i): Fraction(1)} for i in range(l - k + 1, l + 1)]
-        sign = -1 if (k * (k - 1) // 2) % 2 else 1
-        entries.append(TauEntry(_wronskian(gens, hs, [one]) * sign, PLAIN))
-    return entries
-
-
-def _odd_setup(l: int, tmax: int, top: int, with_s: bool):
-    active = tuple(range(1, tmax + 1, 2))
-    vars = tuple(f"t{j}" for j in active) + (("s",) if with_s else ())
-    weights = active + ((0,) if with_s else ())
-    hs = _h_series(vars, weights, top)
-    if with_s:
-        s = MultiPoly.variable(vars, "s")
-        s_pows = [MultiPoly.constant(vars, 1), s, s * s]
-    else:
-        s_pows = [MultiPoly.constant(vars, 1)]
-    return vars, hs, s_pows
-
-
-def _family_b(l: int) -> list[TauEntry]:
-    _, hs, s_pows = _odd_setup(l, 2 * l - 1, 2 * l, with_s=False)
-    gens = [{(0, 2 * l - a): Fraction(1)} for a in range(l)]
-    entries = [
-        TauEntry(_wronskian(gens[:k], hs, s_pows), PLAIN) for k in range(1, l)
-    ]
-    entries.append(TauEntry(_wronskian(gens, hs, s_pows), SQUARED))
-    return entries
-
-
-def _family_c(l: int) -> list[TauEntry]:
-    _, hs, s_pows = _odd_setup(l, 2 * l - 1, 2 * l - 1, with_s=False)
-    gens = [{(0, 2 * l - 1 - a): Fraction(1)} for a in range(l)]
-    return [
-        TauEntry(_wronskian(gens[:k], hs, s_pows), PLAIN) for k in range(1, l + 1)
-    ]
-
-
-def _family_d(l: int) -> list[TauEntry]:
-    vars, hs, s_pows = _odd_setup(l, 2 * l - 3, 2 * l - 2, with_s=True)
+def _d_generators(l: int) -> list[HExpr]:
     if l % 2 == 0:
-        gens: list[HExpr] = [
-            {(1, l - 1 - a): Fraction(1), (0, 2 * l - 2 - a): Fraction(2)}
-            for a in range(l - 1)
-        ]
-    else:
-        gens = [{(2, 0): Fraction(1), (0, 2 * l - 2): Fraction(2)}]
-        gens += [{(0, 2 * l - 2 - a): Fraction(2)} for a in range(1, l - 1)]
-    entries = [
-        TauEntry(_wronskian(gens[:k], hs, s_pows), PLAIN) for k in range(1, l - 1)
-    ]
-    entries.append(TauEntry(_wronskian(gens, hs, s_pows), PRODUCT))
-
-    # bordered symmetric determinant for tau_l squared
-    border = [{(1, 0): Fraction(1), (0, l - 1): Fraction(1)}]
-    border += [{(0, l - a): Fraction(1)} for a in range(2, l)]
-    corner: HExpr = {} if l % 2 == 0 else {(0, 0): Fraction(1)}
-    rows = []
-    for a in range(l - 1):
-        expr = gens[a]
-        row = [_expr_poly(expr, hs, s_pows)]
-        for _ in range(l - 2):
-            expr = _shift(expr)
-            row.append(_expr_poly(expr, hs, s_pows))
-        row.append(_expr_poly(border[a], hs, s_pows))
-        rows.append(row)
-    rows.append([_expr_poly(b, hs, s_pows) for b in border] + [_expr_poly(corner, hs, s_pows)])
-    entries.append(TauEntry(det(rows), SQUARED))
-    return entries
+        return [{(1, l - 1 - a): 1, (0, 2 * l - 2 - a): 2} for a in range(l - 1)]
+    return [{(2, 0): 1, (0, 2 * l - 2): 2}] + [{(0, m): 2} for m in range(2 * l - 3, l - 1, -1)]
 
 
-def _family_g2() -> list[TauEntry]:
-    active = (1, 5)
-    vars = tuple(f"t{j}" for j in active)
-    hs = _h_series(vars, active, 6)
-    one = [MultiPoly.constant(vars, 1)]
-    tau1 = {(0, 6): Fraction(1)}
-    tau2 = [{(0, 6): Fraction(1)}, {(0, 5): Fraction(1)}]
-    return [
-        TauEntry(_expr_poly(tau1, hs, one), PLAIN),
-        TauEntry(_wronskian(tau2, hs, one), PLAIN),
-    ]
+def _bordered(rows: list[list[HExpr]], l: int) -> list[list[HExpr]]:
+    """D_l's Wronskian bordered by s + h_{l-1}, h_{l-2}, ..., h_1 and a corner
+    1 (l odd) or 0 (l even): the matrix of tau_l squared, whose first l - 1
+    leading minors are the Wronskian's."""
+    border = [{(1, 0): 1, (0, l - 1): 1}] + [_h(l - a) for a in range(2, l)]
+    corner = {} if l % 2 == 0 else _h(0)
+    return [row + [b] for row, b in zip(rows, border)] + [border + [corner]]
+
+
+# Per family, for rank l: the active t-indices, whether s is a variable, and
+# the generators, top row first.
+_GENERATORS = {
+    "A": lambda l: (range(1, l + 1), False, [_h(m) for m in range(l, 0, -1)]),
+    "B": lambda l: (range(1, 2 * l, 2), False, [_h(m) for m in range(2 * l, l, -1)]),
+    "C": lambda l: (range(1, 2 * l, 2), False, [_h(m) for m in range(2 * l - 1, l - 1, -1)]),
+    "D": lambda l: (range(1, 2 * l - 2, 2), True, _d_generators(l)),
+    "G": lambda l: ((1, 5), False, [_h(6), _h(5)]),
+}
+# the kinds of each family's last taus; every other tau is PLAIN
+_LAST_KINDS = {"B": (SQUARED,), "D": (PRODUCT, SQUARED)}
 
 
 def nilpotent_tau_family(t) -> TauFamily:
@@ -239,17 +184,14 @@ def nilpotent_tau_family(t) -> TauFamily:
     l = t.rank
     if l > _MAX_DIM:
         raise ValueError(f"rank {l} needs determinants of dimension {l} > bound {_MAX_DIM}")
-    if t.family == "A":
-        entries = _family_a(l)
-    elif t.family == "B":
-        entries = _family_b(l)
-    elif t.family == "C":
-        entries = _family_c(l)
-    elif t.family == "D":
-        entries = _family_d(l)
-    else:
-        entries = _family_g2()
-    return TauFamily(t, tuple(entries))
+    active, with_s, gens = _GENERATORS[t.family](l)
+    rows = _wronskian(gens)
+    if t.family == "D":
+        rows = _bordered(rows, l)
+    minors = leading_minors(_polys(rows, active, with_s))
+    last = _LAST_KINDS.get(t.family, ())
+    kinds = (PLAIN,) * (len(minors) - len(last)) + last
+    return TauFamily(t, tuple(map(TauEntry, minors, kinds)))
 
 
 def min_degree(p: MultiPoly) -> int:

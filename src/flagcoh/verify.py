@@ -101,8 +101,10 @@ def run_checks(t, cap: int | None = None) -> list[CheckResult]:
     )
 
     order = weyl_order(t)
-    if order > (DEFAULT_CAP if cap is None else cap) or order > _TABLE_LIMIT:
-        skip("enumeration", f"|W|={order} beyond table limit")
+    cap = DEFAULT_CAP if cap is None else cap
+    bound, name = (cap, "cap") if cap < _TABLE_LIMIT else (_TABLE_LIMIT, "_TABLE_LIMIT")
+    if order > bound:
+        skip("enumeration", f"|W|={order} beyond {name}={bound}")
         return out
 
     group = enumerate_group(t, cap)

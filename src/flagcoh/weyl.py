@@ -403,14 +403,9 @@ def positive_roots(cartan: CartanMatrix) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _enumerate(family: str, rank: int, cap: int) -> WeylGroup:
+def _enumerate(family: str, rank: int) -> WeylGroup:
     t = LieType(family, rank)
     expected = weyl_order(t)
-    if expected > cap:
-        raise CapExceeded(
-            f"|W({t})| = {expected} exceeds cap {cap}; "
-            "use longest_element() for w*-only questions"
-        )
     chain = _coset_chain(t)
     size = math.prod(level.lengths.size for level in chain)
     if size != expected:
@@ -470,9 +465,17 @@ def _apply_update(mat: Matrix, update, i: int) -> Matrix:
 
 
 def enumerate_group(t, cap: int | None = None) -> WeylGroup:
-    """W(t) as tables over the coset chain; cached per (type, cap)."""
+    """W(t) as tables over the coset chain; cached per type, so the cap only
+    decides whether |W(t)| may be built."""
     t = LieType.parse(t)
-    return _enumerate(t.family, t.rank, DEFAULT_CAP if cap is None else cap)
+    cap = DEFAULT_CAP if cap is None else cap
+    order = weyl_order(t)
+    if order > cap:
+        raise CapExceeded(
+            f"|W({t})| = {order} exceeds cap {cap}; "
+            "use longest_element() for w*-only questions"
+        )
+    return _enumerate(t.family, t.rank)
 
 
 def _diagram_automorphism(t: LieType) -> list[int]:

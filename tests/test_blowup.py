@@ -166,7 +166,7 @@ def _count_elements(monkeypatch) -> list:
 
 def test_minus_stable_elements_build_only_the_stable_ones(monkeypatch):
     built = _count_elements(monkeypatch)
-    group = weyl._enumerate.__wrapped__("E", 6, weyl.DEFAULT_CAP)
+    group = weyl._enumerate.__wrapped__("E", 6)
     stable = minus_stable_elements(group)
     assert len(stable) == len(built) == 1440  # criterion 12's |W-| on E6
     assert sorted(built) == sorted(w.word for w in stable)
@@ -175,7 +175,7 @@ def test_minus_stable_elements_build_only_the_stable_ones(monkeypatch):
 def test_e6_lookup_of_longest_builds_one_element(monkeypatch):
     top = longest_blowups("E6")
     built = _count_elements(monkeypatch)
-    group = weyl._enumerate.__wrapped__("E", 6, weyl.DEFAULT_CAP)
+    group = weyl._enumerate.__wrapped__("E", 6)
     table = blowup_table(group, all_minus(6))
     assert table[group.longest] == top == 20
     assert len(built) <= 1
@@ -185,6 +185,12 @@ def test_e6_lookup_of_longest_builds_one_element(monkeypatch):
 def test_blowup_count_rejects_out_of_range_letters(letter):
     with pytest.raises(ValueError, match=f"letter {letter} out of range 1..2"):
         blowup_count((letter,), "-+", cartan_matrix("A2"))
+
+
+@pytest.mark.parametrize("letter", [0, 4])
+def test_reflect_signs_rejects_out_of_range_letters(letter):
+    with pytest.raises(ValueError, match=f"letter {letter} out of range 1..3"):
+        reflect_signs(letter, sign_vector("+--"), cartan_matrix("A3"))
 
 
 def test_restricted_sum_equals_full():
@@ -336,7 +342,7 @@ def test_e6_tables_build_no_elements(monkeypatch):
 
     top = longest_blowups("E6")
     monkeypatch.setattr(weyl, "WeylElement", refuse)
-    group = weyl._enumerate.__wrapped__("E", 6, weyl.DEFAULT_CAP)
+    group = weyl._enumerate.__wrapped__("E", 6)
     assert group.length_distribution()[:4] == [1, 6, 20, 50]
     for eps in all_sign_vectors(6):
         blowup_poly(group, eps)

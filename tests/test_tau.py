@@ -1,9 +1,13 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from flagcoh import multipoly, tau
+from flagcoh.cartan import LieType
 from flagcoh.errors import UnsupportedType, ZeroPolynomial
-from flagcoh.multipoly import MultiPoly, det
+from flagcoh.multipoly import MultiPoly, det, leading_minors
 from flagcoh.tau import (
     PLAIN,
     PRODUCT,
@@ -48,6 +52,41 @@ def test_det_2x2_and_3x3():
         [one * 0, one, x],
     ]
     assert det(m) == x * x * x - x - x
+
+
+def _leibniz(m):
+    """Determinant as the signed sum over permutations."""
+    n = len(m)
+    acc = MultiPoly.zero(m[0][0].vars)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(n), 2))
+        term = MultiPoly.constant(acc.vars, -1 if inversions % 2 else 1)
+        for r, c in enumerate(perm):
+            term = term * m[r][c]
+        acc = acc + term
+    return acc
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_leading_minors_match_each_leading_submatrix(seed):
+    rng = random.Random(seed)
+    vars = ("x", "y")
+    n = 1 + seed % 5
+
+    def entry():
+        if rng.random() < 0.35:
+            return MultiPoly.zero(vars)
+        return MultiPoly(vars, {
+            (rng.randrange(3), rng.randrange(3)): Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            for _ in range(rng.randint(1, 3))
+        })
+
+    m = [[entry() for _ in range(n)] for _ in range(n)]
+    minors = leading_minors(m)
+    assert len(minors) == n
+    for k in range(1, n + 1):
+        sub = [row[:k] for row in m[:k]]
+        assert minors[k - 1] == det(sub) == _leibniz(sub)
 
 
 def test_h_basics():
@@ -220,3 +259,91 @@ def test_odd_squared_degree_is_reported():
     fam = TauFamily(LieType("B", 2), (TauEntry(odd, SQUARED),))
     with pytest.raises(OddSquaredDegree):
         fam.min_degrees()
+
+
+def _prefix_route(name):
+    """(poly, kind) per tau with a determinant of its own for each one: the
+    prefix Wronskians of the generator lists, written out here apart from
+    the module's table, and for D the bordered matrix of tau_l squared."""
+    t = LieType.parse(name)
+    l, fam = t.rank, t.family
+    odd = tuple(range(1, 2 * l, 2))
+    active = {"A": tuple(range(1, l + 1)), "B": odd, "C": odd, "D": odd[:-1], "G": (1, 5)}[fam]
+    with_s = fam == "D"
+    vars = tuple(f"t{j}" for j in active) + (("s",) if with_s else ())
+    hs = tau._h_series(vars, active + ((0,) if with_s else ()), max(2 * l, 6))
+    one = MultiPoly.constant(vars, 1)
+    s = MultiPoly.variable(vars, "s") if with_s else one
+
+    def value(gen, c):  # the c-th t_1-derivative of sum coef * s^a * h_m
+        acc = MultiPoly.zero(vars)
+        for coef, a, m in gen:
+            if m - c >= 0:
+                acc = acc + s**a * hs[m - c] * coef
+        return acc
+
+    def wr(gens):
+        return det([[value(g, c) for c in range(len(gens))] for g in gens])
+
+    if fam == "A":
+        gens = [[(1, 0, m)] for m in range(l, 0, -1)]
+    elif fam == "B":
+        gens = [[(1, 0, 2 * l - a)] for a in range(l)]
+    elif fam == "C":
+        gens = [[(1, 0, 2 * l - 1 - a)] for a in range(l)]
+    elif fam == "G":
+        gens = [[(1, 0, 6)], [(1, 0, 5)]]
+    elif l % 2 == 0:
+        gens = [[(1, 1, l - 1 - a), (2, 0, 2 * l - 2 - a)] for a in range(l - 1)]
+    else:
+        gens = [[(1, 2, 0), (2, 0, 2 * l - 2)]] + [[(2, 0, 2 * l - 2 - a)] for a in range(1, l - 1)]
+    n_plain = {"B": l - 1, "D": l - 2}.get(fam, len(gens))
+    out = [(wr(gens[:k]), PLAIN) for k in range(1, n_plain + 1)]
+    if fam == "B":
+        out.append((wr(gens), SQUARED))
+    if fam == "D":
+        out.append((wr(gens), PRODUCT))
+        border = [value([(1, 1, 0), (1, 0, l - 1)], 0)] + [hs[l - a] for a in range(2, l)]
+        rows = [[value(g, c) for c in range(l - 1)] + [b] for g, b in zip(gens, border)]
+        rows.append(border + [one * (l % 2)])
+        out.append((det(rows), SQUARED))
+    return out
+
+
+PREFIX_TYPES = [f"A{l}" for l in range(1, 7)] + [f"B{l}" for l in range(2, 6)] + [
+    f"C{l}" for l in range(2, 6)
+] + ["D4", "D5", "G2"]
+
+
+@pytest.mark.parametrize("name", PREFIX_TYPES)
+def test_leading_minors_equal_prefix_determinants(name):
+    fam = nilpotent_tau_family(name)
+    assert [(e.poly, e.kind) for e in fam.entries] == _prefix_route(name)
+
+
+@pytest.mark.parametrize("l", range(1, 7))
+def test_a_family_is_signed_schur(l):
+    # reversing the k rows of Wr(h_{l-k+1}..h_l) gives tau_k = Wr(h_l..h_{l-k+1})
+    fam = nilpotent_tau_family(f"A{l}")
+    for k, e in enumerate(fam.entries, 1):
+        sign = -1 if k * (k - 1) // 2 % 2 else 1
+        assert e.poly == schur_wronskian(range(l - k + 1, l + 1)) * sign
+
+
+def test_one_expansion_per_family(monkeypatch):
+    # tau.leading_minors, and det through multipoly's own name, count every
+    # Laplace expansion: the bordered matrix of D holds the Wronskian as its
+    # leading block, so D needs no second one
+    calls = []
+    real = multipoly.leading_minors
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return real(matrix)
+
+    monkeypatch.setattr(multipoly, "leading_minors", counted)
+    monkeypatch.setattr(tau, "leading_minors", counted)
+    for name, size in [("A4", 4), ("B3", 3), ("C4", 4), ("D4", 4), ("D5", 5), ("G2", 2)]:
+        calls.clear()
+        nilpotent_tau_family(name)
+        assert calls == [size], name

@@ -35,6 +35,7 @@ def test_e8_runs_longest_checks_only():
     assert named["blowups-at-longest"].status == "pass"
     assert named["longest-length"].status == "pass"
     assert named["enumeration"].status == "skip"
+    assert named["enumeration"].detail == "|W|=696729600 beyond _TABLE_LIMIT=60000"
 
 
 def test_component_reference_values_enforced():
@@ -49,6 +50,7 @@ def test_cap_override_degrades_gracefully():
     results = run_checks("A3", cap=10)
     named = by_name(results)
     assert named["enumeration"].status == "skip"
+    assert named["enumeration"].detail == "|W|=24 beyond cap=10"
     assert all_passed(results)
 
 

@@ -81,6 +81,14 @@ def test_cap_exceeded():
         enumerate_group("A4", cap=100)
 
 
+def test_enumeration_cached_per_type_not_per_cap():
+    a = enumerate_group("E6")
+    assert enumerate_group("E6", 10**6) is a
+    assert enumerate_group("E6", 51_840) is a
+    with pytest.raises(CapExceeded, match="exceeds cap 51839"):
+        enumerate_group("E6", 51_839)
+
+
 def test_length_distribution_palindromic():
     for name in ["A3", "B3", "D4", "G2", "F4"]:
         dist = enumerate_group(name).length_distribution()
@@ -226,7 +234,7 @@ def test_deterministic_enumeration():
     from flagcoh.weyl import _enumerate
 
     a = enumerate_group("B3")
-    fresh = _enumerate.__wrapped__("B", 3, 3_000_000)
+    fresh = _enumerate.__wrapped__("B", 3)
     assert [w.word for w in a.elements] == [w.word for w in fresh.elements]
 
 
