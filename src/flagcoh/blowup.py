@@ -60,6 +60,7 @@ def all_sign_vectors(l: int):
 def reflect_signs(i: int, eps: Signs, cartan: CartanMatrix) -> Signs:
     """Action of s_i on signs: eps_j -> eps_j * eps_i^{C[j][i]}."""
     k = _letter(i, cartan.rank)
+    eps = sign_vector(eps, cartan.rank)
     if eps[k] == 1:
         return eps
     return tuple(-x if cartan[j][k] % 2 else x for j, x in enumerate(eps))

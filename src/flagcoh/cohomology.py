@@ -4,12 +4,13 @@ Graph edges become matrix entries +-2, one sign kept per edge.  Signs are
 solved over GF(2) so that consecutive differentials compose to zero:
 every complete diamond (the two cover paths through a length-2 Bruhat
 interval) contributes one parity equation, and a spanning forest of the
-graph is gauged to +.
+graph is gauged to +.  The signs are an int8 array beside the edge array.
 
 The differential only has entries on graph edges, so the complex is
 block-diagonal over the graph's connected components; it is solved and
-reduced one component at a time, and one walk of a component's two-edge
-paths gives both its parity equations and its d o d = 0 check.  Within a
+reduced one component at a time, and one join of the edge array on its
+middle vertex finds the diamonds of every parity equation and of the
+d o d = 0 check.  Within a
 component, signs are accepted when every nonzero Smith divisor of each +-1
 layer block is odd, as the exponent-2 torsion of the cell structure
 demands; since B = U D V with U, V unimodular, hence invertible mod 2,
@@ -22,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .blowup import Signs, format_signs, sign_vector
 from .errors import DiamondViolation, Unsolvable
 from .graph import IncidenceGraph, build_graph, spanning_forest
@@ -33,7 +36,8 @@ from .weyl import WeylGroup, word_label
 class ChainComplex:
     group: WeylGroup
     eps: Signs
-    signs: dict[tuple[int, int], int]  # graph edge (i, j) -> +-1; the entry is 2 * sign
+    edges: np.ndarray  # the graph's (m, 2) edge rows
+    signs: np.ndarray  # int8, +-1 per edge row; the entry is 2 * sign
     # smith[k]: the nonzero Smith divisors of every component's C^k -> C^{k+1}
     # block, pooled and sorted; SNF(2B) = 2 SNF(B), so each is 2 * odd
     smith: tuple[tuple[int, ...], ...]
@@ -51,7 +55,7 @@ class ChainComplex:
         pos = {v: a for layer in self.group.by_length() for a, v in enumerate(layer)}
         dims = self.dims()
         dense = [[[0] * dims[k] for _ in range(dims[k + 1])] for k in range(self.top_degree)]
-        for (i, j), sign in self.signs.items():
+        for (i, j), sign in zip(self.edges.tolist(), self.signs.tolist()):
             dense[self.group.lengths[i]][pos[j]][pos[i]] = 2 * sign
         return tuple(tuple(map(tuple, m)) for m in dense)
 
@@ -76,18 +80,20 @@ class CohomologyGroups:
         return out
 
 
-def _diamonds(edges):
-    """Per length-2 interval (bottom, top): its paths of two of the given
-    edges, for the intervals that have any; and the sorted intervals whose
-    count of such paths is not 2."""
-    out: dict[int, list[int]] = {}
-    for i, j in edges:
-        out.setdefault(i, []).append(j)
-    paths: dict[tuple[int, int], list[tuple[tuple[int, int], tuple[int, int]]]] = {}
-    for i, j in edges:
-        for k in out.get(j, ()):
-            paths.setdefault((i, k), []).append(((i, j), (j, k)))
-    return paths, tuple(sorted(ik for ik, plist in paths.items() if len(plist) != 2))
+def _diamonds(edges: np.ndarray):
+    """Every path of two of the given edges, as rows (p, q) of edge positions
+    with top of p = bottom of q, sorted by interval (bottom of p, top of q);
+    and the sorted intervals whose count of such paths is not 2."""
+    by_bottom = np.argsort(edges[:, 0], kind="stable")
+    bottoms = edges[by_bottom, 0]
+    lo = np.searchsorted(bottoms, edges[:, 1])
+    sizes = np.searchsorted(bottoms, edges[:, 1], side="right") - lo
+    first = np.repeat(np.arange(len(edges)), sizes)
+    second = by_bottom[np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())]
+    bottom, top = edges[first, 0], edges[second, 1]
+    intervals, counts = np.unique(np.stack((bottom, top), axis=1), axis=0, return_counts=True)
+    paths = np.stack((first, second), axis=1)[np.lexsort((top, bottom))]
+    return paths, tuple(map(tuple, intervals[counts != 2].tolist()))
 
 
 def diamond_check(graph: IncidenceGraph) -> tuple[tuple[int, int], ...]:
@@ -142,43 +148,55 @@ def assign_signs(graph: IncidenceGraph, gauge: str = "forward") -> ChainComplex:
     canonical edge order); any valid gauge must yield the same cohomology.
     Each graph component is solved on its own (see _solve_component).
     """
-    rank = {v: r for r, v in enumerate(graph.group.canonical_order())}
-    edges = sorted(graph.edges, key=lambda e: (rank[e[0]], rank[e[1]]))
+    edges = graph.edges
+    scan = np.arange(len(edges))
     if gauge == "reverse":
-        edges = list(reversed(edges))
+        scan = scan[::-1]
     elif gauge != "forward":
         raise ValueError(f"unknown gauge {gauge!r}")
 
-    # spanning forest over the undirected graph: tree edges are forced to +
-    comps, tree = spanning_forest(range(graph.vertex_count), edges)
-    forced = set(tree)  # in scan order, so each component's are a filter of its edges
-    comp_of = {v: c for c, vs in enumerate(comps) for v in vs}
-    comp_edges: list[list[tuple[int, int]]] = [[] for _ in comps]
-    for e in edges:
-        comp_edges[comp_of[e[0]]].append(e)
+    # spanning forest over the undirected graph: tree edges are forced to +;
+    # a stable sort by component root makes each component's edges, in scan
+    # order, one slice, and likewise its diamonds, in interval order
+    root, tree = spanning_forest(graph.vertex_count, edges[scan])
+    comp = root[edges[scan, 0]]
+    by_comp = np.argsort(comp, kind="stable")
+    scan, tree, comp = scan[by_comp], tree[by_comp], comp[by_comp]
+    paths, bad = _diamonds(edges[scan])
+    if bad:
+        raise DiamondViolation(bad)
+    diamonds = paths.reshape(-1, 4)  # each interval's two paths
+    diamonds = diamonds[np.argsort(comp[diamonds[:, 0]], kind="stable")]
+    heads = np.flatnonzero(np.diff(comp, prepend=-1))
+    edge_cuts = heads.tolist() + [comp.size]
+    diamond_cuts = np.searchsorted(comp[diamonds[:, 0]], comp[heads]).tolist() + [len(diamonds)]
 
-    signs: dict[tuple[int, int], int] = {}
+    signs = np.empty(len(edges), np.int8)
     smith: list[list[int]] = [[] for _ in graph.group.length_distribution()[1:]]
-    for comp, es in zip(comps, comp_edges):
-        comp_signs, diags = _solve_component(graph, comp, es, [e for e in es if e in forced])
-        signs.update(comp_signs)
+    for a, b, lo, hi in zip(edge_cuts, edge_cuts[1:], diamond_cuts, diamond_cuts[1:]):
+        signs[scan[a:b]], diags = _solve_component(
+            graph, edges[scan[a:b]], np.flatnonzero(tree[a:b]), diamonds[lo:hi] - a
+        )
         for k, diag in diags.items():
             smith[k] += [2 * d for d in diag]
+    _verify_square_zero(graph, scan[paths], signs)
 
     return ChainComplex(
         graph.group,
         graph.eps,
+        edges,
         signs,
         tuple(tuple(sorted(s)) for s in smith),
     )
 
 
 def _solve_component(
-    graph: IncidenceGraph, comp, edges, tree
-) -> tuple[dict[tuple[int, int], int], dict[int, list[int]]]:
-    """Signs {edge: +-1} for one component, and the Smith diagonal of each
-    of its +-1 layer blocks under them; one walk of its two-edge paths
-    gives the parity equations and the d o d = 0 check.
+    graph: IncidenceGraph, edges, tree, diamonds
+) -> tuple[np.ndarray, dict[int, list[int]]]:
+    """Signs (+-1 per row of edges) for one component, and the Smith diagonal
+    of each of its +-1 layer blocks under them.  edges are the component's
+    rows in scan order; tree and the rows of diamonds (the four edges of each
+    complete diamond) are positions among them.
 
     The diamond equations never see a cycle that stays between two adjacent
     length layers, so its sign product is free; the underlying cell
@@ -188,29 +206,26 @@ def _solve_component(
     All 2^k combinations of the GF(2) kernel are tried, so Unsolvable means
     no valid signs exist for this component.
     """
-    paths, bad = _diamonds(edges)
-    if bad:
-        raise DiamondViolation(bad)
-    pos = {e: p for p, e in enumerate(edges)}
-    equations = [(1 << pos[e], 0) for e in tree]
+    equations = [(1 << p, 0) for p in tree.tolist()]
     # one parity equation per complete diamond
-    for _, ((a1, a2), (b1, b2)) in sorted(paths.items()):
-        mask = (1 << pos[a1]) ^ (1 << pos[a2]) ^ (1 << pos[b1]) ^ (1 << pos[b2])
-        equations.append((mask, 1))
+    for a1, a2, b1, b2 in diamonds.tolist():
+        equations.append(((1 << a1) ^ (1 << a2) ^ (1 << b1) ^ (1 << b2), 1))
 
+    pairs = edges.tolist()
+    comp = sorted(set(edges.ravel().tolist()))
     lengths = graph.group.lengths
     slots: dict[int, list[int]] = {}
     for v in comp:
         slots.setdefault(lengths[v], []).append(v)
     local = {v: a for vs in slots.values() for a, v in enumerate(vs)}
     layer_edges: dict[int, list[int]] = {}
-    for p, (i, _) in enumerate(edges):
+    for p, (i, _) in enumerate(pairs):
         layer_edges.setdefault(lengths[i], []).append(p)
 
     def block(k: int, packed: int) -> list[list[int]]:
         rows = [[0] * len(slots[k]) for _ in slots[k + 1]]
         for p in layer_edges[k]:
-            i, j = edges[p]
+            i, j = pairs[p]
             rows[local[j]][local[i]] = -1 if (packed >> p) & 1 else 1
         return rows
 
@@ -218,7 +233,7 @@ def _solve_component(
         f"{graph.group.lie_type} eps={format_signs(graph.eps)}, component of "
         f"{word_label(graph.group.word(comp[0]))}"
     )
-    solved = _solve_gf2(equations, len(edges))
+    solved = _solve_gf2(equations, len(pairs))
     if solved is None:
         raise Unsolvable(f"no consistent sign assignment for {where}")
     base, kernel = solved
@@ -234,9 +249,8 @@ def _solve_component(
             if not all(d % 2 for d in diags[k]):
                 break
         else:
-            signs = {e: -1 if (packed >> p) & 1 else 1 for p, e in enumerate(edges)}
-            _verify_square_zero(graph, paths, signs)
-            return signs, diags
+            signs = [-1 if (packed >> p) & 1 else 1 for p in range(len(pairs))]
+            return np.array(signs, np.int8), diags
     raise Unsolvable(
         f"sign assignment for {where}: none of the 2^{len(kernel)} kernel combinations "
         f"reaches the mod-2 rank of the C^{k} -> C^{k + 1} block"
@@ -244,16 +258,13 @@ def _solve_component(
 
 
 def _verify_square_zero(graph: IncidenceGraph, paths, signs) -> None:
-    """d o d = 0: over every interval, the sign products of its two-edge
-    paths cancel.  Names the lowest degree where they do not."""
-    lengths = graph.group.lengths
-    bad = [
-        lengths[i]
-        for (i, _), plist in paths.items()
-        if sum(signs[a] * signs[b] for a, b in plist)
-    ]
-    if bad:
-        k = min(bad)
+    """d o d = 0: over every interval, the sign products of its two paths
+    (consecutive rows of paths) cancel.  Names the lowest degree where they
+    do not."""
+    prod = signs[paths[:, 0]] * signs[paths[:, 1]]
+    bad = paths[0::2][prod[0::2] + prod[1::2] != 0]
+    if bad.size:
+        k = min(graph.group.lengths[i] for i in graph.edges[bad[:, 0], 0].tolist())
         raise Unsolvable(
             f"differential does not square to zero after solving for "
             f"{graph.group.lie_type} eps={format_signs(graph.eps)}: "

@@ -2,13 +2,17 @@
 
 An edge w1 => w2 requires all four conditions: Bruhat cover, length step
 one, equal blow-up count, equal accumulated sign vector.  Connectivity is
-taken on the underlying undirected graph.
+taken on the underlying undirected graph.  The edges are one (m, 2) int32
+array of (bottom, top) rows, sorted once by the canonical ranks of their
+ends: the export, the spanning-forest gauge and the sign solve read it as is.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+
+import numpy as np
 
 from .blowup import Signs, _as_tuples, all_minus, chain_walk, format_signs, sign_vector
 from .weyl import WeylGroup, word_label
@@ -20,9 +24,9 @@ class IncidenceGraph:
     eps: Signs
     counts: tuple[int, ...]
     final_signs: tuple[Signs, ...]
-    edges: tuple[tuple[int, int], ...]
-    # cover pairs where conditions a), b), d) held but c) failed
-    cond_c_failures: tuple[tuple[int, int], ...]
+    edges: np.ndarray  # (m, 2) int32 (bottom, top) rows in canonical order
+    # cover pairs where conditions a), b), d) held but c) failed, likewise
+    cond_c_failures: np.ndarray
 
     @property
     def vertex_count(self) -> int:
@@ -30,7 +34,14 @@ class IncidenceGraph:
 
     def edge_words(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         word = self.group.word
-        return [(word(i), word(j)) for i, j in self.edges]
+        return [(word(i), word(j)) for i, j in self.edges.tolist()]
+
+
+def _canonical_rows(group: WeylGroup, bottom: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """(bottom, top) rows sorted by the canonical ranks of (bottom, top)."""
+    rank = group.canonical_rank()
+    rows = np.stack((bottom, top), axis=1).astype(np.int32, copy=False)
+    return rows[np.lexsort((rank[top], rank[bottom]))]
 
 
 def build_graph(group_or_type, eps) -> IncidenceGraph:
@@ -45,22 +56,22 @@ def build_graph(group_or_type, eps) -> IncidenceGraph:
     same = codes[bottom] == codes[top]
     flat = counts[bottom] == counts[top]
 
-    def pairs(mask):
-        return tuple(zip(bottom[mask].tolist(), top[mask].tolist()))
+    def rows(mask):
+        return _canonical_rows(group, bottom[mask], top[mask])
 
     return IncidenceGraph(
         group, eps, *_as_tuples(counts, codes, group.rank),
-        pairs(same & flat), pairs(same & ~flat),
+        rows(same & flat), rows(same & ~flat),
     )
 
 
-def spanning_forest(vertices, edges) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:
-    """Scan edges in order with one union-find over the given vertices.
+def spanning_forest(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scan the (bottom, top) rows in order with one union-find on 0..n-1.
 
-    Returns the connected components (sorted vertex tuples, sorted) and the
-    tree edges: those that joined two components when scanned, in scan order.
+    Returns each vertex's root (the least vertex of its component) and the
+    tree-edge mask: the rows that joined two components when scanned.
     """
-    parent = {v: v for v in vertices}
+    parent = list(range(n))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -68,42 +79,42 @@ def spanning_forest(vertices, edges) -> tuple[list[tuple[int, ...]], list[tuple[
             x = parent[x]
         return x
 
-    tree = []
-    for e in edges:
-        ri, rj = find(e[0]), find(e[1])
+    tree = bytearray(len(edges))
+    for p, (i, j) in enumerate(zip(edges[:, 0].tolist(), edges[:, 1].tolist())):
+        ri, rj = find(i), find(j)
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
-            tree.append(e)
-    buckets: dict[int, list[int]] = {}
-    for v in parent:
-        buckets.setdefault(find(v), []).append(v)
-    return sorted(tuple(sorted(vs)) for vs in buckets.values()), tree
+            tree[p] = 1
+    return np.array([find(v) for v in range(n)], np.int32), np.frombuffer(tree, bool)
 
 
 def components(graph: IncidenceGraph) -> list[tuple[int, ...]]:
-    """Undirected connected components, each a sorted vertex tuple."""
-    return spanning_forest(range(graph.vertex_count), graph.edges)[0]
+    """Undirected connected components, each a sorted vertex tuple, sorted."""
+    root = spanning_forest(graph.vertex_count, graph.edges)[0]
+    by_root = np.argsort(root, kind="stable")
+    starts = np.flatnonzero(np.diff(root[by_root], prepend=-1))
+    return [tuple(vs.tolist()) for vs in np.split(by_root, starts[1:])]
 
 
 def negative_components(graph: IncidenceGraph) -> int:
     """Components of the subgraph induced on the all-minus-stable vertices."""
     minus = all_minus(graph.group.rank)
-    inside = {v for v in range(graph.vertex_count) if graph.final_signs[v] == minus}
-    induced = [(i, j) for i, j in graph.edges if i in inside and j in inside]
-    return len(spanning_forest(inside, induced)[0])
+    inside = np.array([s == minus for s in graph.final_signs])
+    induced = graph.edges[inside[graph.edges].all(axis=1)]
+    root = spanning_forest(graph.vertex_count, induced)[0]
+    return len(set(root[inside].tolist()))
 
 
 def export_graph(graph: IncidenceGraph, fmt: str) -> str:
     """Serialize as 'dot' or 'json'; vertex order is (length, matrix key)."""
     order = graph.group.canonical_order()
     word, lengths = graph.group.word, graph.group.lengths
-    pos = {v: k for k, v in enumerate(order)}
-    edges = sorted((pos[i], pos[j]) for i, j in graph.edges)
+    edges = graph.group.canonical_rank()[graph.edges].tolist()
     if fmt == "dot":
         lines = ["digraph incidence {"]
-        for v in order:
+        for k, v in enumerate(order):
             label = f"{word_label(word(v))} | l={lengths[v]} | eta={graph.counts[v]}"
-            lines.append(f'  n{pos[v]} [label="{label}"];')
+            lines.append(f'  n{k} [label="{label}"];')
         for a, b in edges:
             lines.append(f"  n{a} -> n{b};")
         lines.append("}")
@@ -121,28 +132,43 @@ def export_graph(graph: IncidenceGraph, fmt: str) -> str:
                 }
                 for v in order
             ],
-            "edges": [list(e) for e in edges],
+            "edges": edges,
         }
         return json.dumps(payload, indent=2) + "\n"
     raise ValueError(f"unknown export format {fmt!r} (want 'dot' or 'json')")
 
 
 def graph_from_json(text: str, group: WeylGroup) -> IncidenceGraph:
-    """Rebuild a graph exported with export_graph(..., 'json')."""
+    """Rebuild a graph exported with export_graph(..., 'json').  Every element
+    must be listed exactly once, and every edge must be a pair of vertex
+    positions whose elements form a Bruhat cover."""
     payload = json.loads(text)
     if payload["type"] != str(group.lie_type):
         raise ValueError("type mismatch between payload and group")
     eps = sign_vector(payload["eps"], group.rank)
-    idx = []
-    for k, v in enumerate(payload["vertices"]):
+    vertices, n = payload["vertices"], group.order
+    where: dict[int, int] = {}  # element -> its vertex position, in position order
+    for k, v in enumerate(vertices):
         try:
-            idx.append(group.word_index(tuple(v["word"])))
+            i = group.word_index(tuple(v["word"]))
         except ValueError as e:
             raise ValueError(f"vertex {k}: {e}") from None
-    counts = [0] * group.order
-    signs: list[Signs] = [eps] * group.order
-    for v, i in zip(payload["vertices"], idx):
-        counts[i] = v["eta"]
-        signs[i] = sign_vector(v["sign"], group.rank)
-    edges = tuple(sorted((idx[a], idx[b]) for a, b in payload["edges"]))
-    return IncidenceGraph(group, eps, tuple(counts), tuple(signs), edges, ())
+        if where.setdefault(i, k) != k:
+            raise ValueError(f"vertex {k}: same element as vertex {where[i]}")
+    if len(where) != n:
+        raise ValueError(f"payload lists {len(where)} of the {n} elements of W({group.lie_type})")
+    counts = tuple(vertices[where[i]]["eta"] for i in range(n))
+    signs = tuple(sign_vector(vertices[where[i]]["sign"], group.rank) for i in range(n))
+
+    for k, e in enumerate(payload["edges"]):
+        pair = isinstance(e, list) and len(e) == 2
+        if not pair or not all(type(a) is int and 0 <= a < n for a in e):
+            raise ValueError(f"edge {k}: {e!r} is not a pair of vertex positions 0..{n - 1}")
+    rows = np.array(list(where))[np.array(payload["edges"], np.int64).reshape(-1, 2)]
+    covers = np.ravel_multi_index(group.covers(), (n, n))
+    bad = np.flatnonzero(~np.isin(np.ravel_multi_index(rows.T, (n, n)), covers))
+    if bad.size:
+        a, b = (word_label(group.word(i)) for i in rows[bad[0]].tolist())
+        raise ValueError(f"edge {bad[0]}: {a} -> {b} is not a Bruhat cover")
+    edges = _canonical_rows(group, rows[:, 0], rows[:, 1])
+    return IncidenceGraph(group, eps, counts, signs, edges, edges[:0])

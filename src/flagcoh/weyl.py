@@ -209,9 +209,7 @@ class WeylGroup:
         self._index = None
         self._matrices = None
         self._canonical = None
-        self._reflections = None
         self._covers = None
-        self._cover_up = None
 
     @property
     def order(self) -> int:
@@ -294,14 +292,6 @@ class WeylGroup:
         off = self._offsets
         return [b - a for a, b in zip(off, off[1:])]
 
-    def reflections(self) -> frozenset:
-        """Matrix keys of all reflections, generated by the root orbit."""
-        if self._reflections is None:
-            self._reflections = frozenset(
-                m for _, m in _root_reflection_orbit(self.cartan)
-            )
-        return self._reflections
-
     def cover_pairs(self) -> tuple[tuple[int, int], ...]:
         """All Bruhat covers (i, j), sorted, as a tuple built from covers()."""
         bottom, top = self.covers()
@@ -354,21 +344,20 @@ class WeylGroup:
 
     def canonical_order(self) -> list[int]:
         """Element indices by (length, matrix key): the order of all output."""
+        return self._canonical_order().tolist()
+
+    def canonical_rank(self) -> np.ndarray:
+        """Each element's position in canonical_order(), as an int32 array."""
+        rank = np.empty(self.order, np.int32)
+        rank[self._canonical_order()] = np.arange(self.order, dtype=np.int32)
+        return rank
+
+    def _canonical_order(self) -> np.ndarray:
         if self._canonical is None:
             flat = self.matrices().reshape(self.order, -1)
             keys = [flat[:, c] for c in reversed(range(flat.shape[1]))] + [self._lengths]
-            self._canonical = np.lexsort(keys).tolist()
-        return list(self._canonical)
-
-    def covers_up(self) -> dict[int, tuple[int, ...]]:
-        if self._cover_up is None:
-            bottom, top = self.covers()
-            starts = np.flatnonzero(np.diff(bottom, prepend=-1))
-            self._cover_up = {
-                i: tuple(js.tolist())
-                for i, js in zip(bottom[starts].tolist(), np.split(top, starts[1:]))
-            }
-        return self._cover_up
+            self._canonical = np.lexsort(keys)
+        return self._canonical
 
 
 def _root_reflection_orbit(cartan: CartanMatrix):

@@ -193,6 +193,12 @@ def test_reflect_signs_rejects_out_of_range_letters(letter):
         reflect_signs(letter, sign_vector("+--"), cartan_matrix("A3"))
 
 
+@pytest.mark.parametrize("eps", ["-", "-+-+-"])
+def test_reflect_signs_rejects_wrong_length(eps):
+    with pytest.raises(ValueError, match=f"has length {len(eps)}, expected 3"):
+        reflect_signs(1, sign_vector(eps), cartan_matrix("A3"))
+
+
 def test_restricted_sum_equals_full():
     for name in ["A2", "A3", "B2", "B3", "C3", "D4", "G2"]:
         g = enumerate_group(name)

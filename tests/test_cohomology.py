@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import re
 
+import numpy as np
 import pytest
 
 from flagcoh import cohomology
@@ -223,8 +224,10 @@ def test_square_zero_failure_names_type_signs_and_degree():
     cc = assign_signs(g)
     # an edge path 0 -> j -> k lies on a complete diamond, so flipping its
     # first edge leaves d_1 o d_0 nonzero
-    e = next(e for e in cc.signs if e[0] == 0 and any(a == e[1] for a, _ in cc.signs))
-    flipped = {**cc.signs, e: -cc.signs[e]}
+    edges = cc.edges.tolist()
+    e = next(p for p, (i, j) in enumerate(edges) if i == 0 and any(a == j for a, _ in edges))
+    flipped = cc.signs.copy()
+    flipped[e] = -flipped[e]
     message = (
         "differential does not square to zero after solving for A3 eps=+++: "
         "d_1 o d_0 != 0 (C^0 -> C^2)"
@@ -236,10 +239,9 @@ def test_square_zero_failure_names_type_signs_and_degree():
 def test_broken_diamond_raises_diamond_violation():
     g = build_graph("A3", "---")
     # drop one edge of a complete diamond: its interval keeps a single path
-    interval, plist = next(
-        (ik, p) for ik, p in cohomology._diamonds(g.edges)[0].items() if len(p) == 2
-    )
-    broken = dataclasses.replace(g, edges=tuple(e for e in g.edges if e != plist[0][0]))
+    p, q = cohomology._diamonds(g.edges)[0][0]
+    interval = (g.edges[p, 0].item(), g.edges[q, 1].item())
+    broken = dataclasses.replace(g, edges=np.delete(g.edges, p, axis=0))
     assert interval in diamond_check(broken)
     with pytest.raises(DiamondViolation) as info:
         assign_signs(broken)

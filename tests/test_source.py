@@ -1,6 +1,7 @@
 """Source-level guards over the flagcoh package."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "flagcoh"
@@ -16,4 +17,23 @@ def test_package_validates_without_assert_statements():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    # numpy is the one declared dependency (pyproject.toml); any other
+    # import, even one inside a function, would be an undeclared one
+    allowed = set(sys.stdlib_module_names) | {"numpy", "flagcoh"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] not in allowed
+            ]
     assert found == []

@@ -44,6 +44,9 @@ def test_component_reference_values_enforced():
     assert "10" in named["graph-components"].detail
     named = by_name(run_checks("B3"))
     assert "17" in named["graph-components"].detail
+    named = by_name(run_checks("D4"))
+    assert named["graph-components"].status == "pass"
+    assert "35" in named["graph-components"].detail
 
 
 def test_cap_override_degrades_gracefully():
