@@ -90,10 +90,13 @@ def _diamonds(edges: np.ndarray):
     sizes = np.searchsorted(bottoms, edges[:, 1], side="right") - lo
     first = np.repeat(np.arange(len(edges)), sizes)
     second = by_bottom[np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())]
-    bottom, top = edges[first, 0], edges[second, 1]
-    intervals, counts = np.unique(np.stack((bottom, top), axis=1), axis=0, return_counts=True)
-    paths = np.stack((first, second), axis=1)[np.lexsort((top, bottom))]
-    return paths, tuple(map(tuple, intervals[counts != 2].tolist()))
+    order = np.lexsort((edges[second, 1], edges[first, 0]))
+    paths = np.stack((first[order], second[order]), axis=1)
+    bottom, top = edges[paths[:, 0], 0], edges[paths[:, 1], 1]
+    # runs of equal (bottom, top) are the intervals; a run not of length 2 is bad
+    heads = np.flatnonzero(np.diff(bottom, prepend=-1) | np.diff(top, prepend=-1))
+    bad = heads[np.diff(heads, append=len(paths)) != 2]
+    return paths, tuple(zip(bottom[bad].tolist(), top[bad].tolist()))
 
 
 def diamond_check(graph: IncidenceGraph) -> tuple[tuple[int, int], ...]:
@@ -101,8 +104,11 @@ def diamond_check(graph: IncidenceGraph) -> tuple[tuple[int, int], ...]:
     return _diamonds(graph.edges)[1]
 
 
-def _eliminate_gf2(equations) -> dict[int, tuple[int, int]] | None:
-    """Row echelon over GF(2): pivot column -> (mask, rhs); None if inconsistent."""
+def _solve_gf2(equations, nvars: int) -> tuple[int, list[int]] | None:
+    """One packed solution (free variables 0) and the packed basis of the
+    homogeneous solutions, one vector per free variable; None if the system
+    is inconsistent.  Both come from one echelon (pivot column -> (mask,
+    rhs)), whose pivot masks do not depend on the right-hand sides."""
     pivots: dict[int, tuple[int, int]] = {}
     for mask, rhs in equations:
         while mask:
@@ -116,17 +122,6 @@ def _eliminate_gf2(equations) -> dict[int, tuple[int, int]] | None:
         else:
             if rhs:
                 return None
-    return pivots
-
-
-def _solve_gf2(equations, nvars: int) -> tuple[int, list[int]] | None:
-    """One packed solution (free variables 0) and the packed basis of the
-    homogeneous solutions, one vector per free variable; None if the system
-    is inconsistent.  Both come from one echelon, whose pivot masks do not
-    depend on the right-hand sides."""
-    pivots = _eliminate_gf2(equations)
-    if pivots is None:
-        return None
     # each pivot mask has its pivot as the TOP bit, so ascending order
     # guarantees the lower bits are already final
     order = sorted(pivots.items())
@@ -211,27 +206,24 @@ def _solve_component(
     for a1, a2, b1, b2 in diamonds.tolist():
         equations.append(((1 << a1) ^ (1 << a2) ^ (1 << b1) ^ (1 << b2), 1))
 
+    # layer k's edges by (top, bottom), so each block row, one per top vertex,
+    # is a sparse {bottom vertex: +-1} row with its columns ascending
     pairs = edges.tolist()
-    comp = sorted(set(edges.ravel().tolist()))
     lengths = graph.group.lengths
-    slots: dict[int, list[int]] = {}
-    for v in comp:
-        slots.setdefault(lengths[v], []).append(v)
-    local = {v: a for vs in slots.values() for a, v in enumerate(vs)}
     layer_edges: dict[int, list[int]] = {}
-    for p, (i, _) in enumerate(pairs):
-        layer_edges.setdefault(lengths[i], []).append(p)
+    for p in np.lexsort((edges[:, 0], edges[:, 1])).tolist():
+        layer_edges.setdefault(lengths[pairs[p][0]], []).append(p)
 
-    def block(k: int, packed: int) -> list[list[int]]:
-        rows = [[0] * len(slots[k]) for _ in slots[k + 1]]
+    def block(k: int, packed: int):
+        rows: dict[int, dict[int, int]] = {}
         for p in layer_edges[k]:
             i, j = pairs[p]
-            rows[local[j]][local[i]] = -1 if (packed >> p) & 1 else 1
-        return rows
+            rows.setdefault(j, {})[i] = -1 if (packed >> p) & 1 else 1
+        return rows.values()
 
     where = (
         f"{graph.group.lie_type} eps={format_signs(graph.eps)}, component of "
-        f"{word_label(graph.group.word(comp[0]))}"
+        f"{word_label(graph.group.word(int(edges.min())))}"
     )
     solved = _solve_gf2(equations, len(pairs))
     if solved is None:

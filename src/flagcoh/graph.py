@@ -141,7 +141,7 @@ def export_graph(graph: IncidenceGraph, fmt: str) -> str:
 def graph_from_json(text: str, group: WeylGroup) -> IncidenceGraph:
     """Rebuild a graph exported with export_graph(..., 'json').  Every element
     must be listed exactly once, and every edge must be a pair of vertex
-    positions whose elements form a Bruhat cover."""
+    positions whose elements form a Bruhat cover, listed once."""
     payload = json.loads(text)
     if payload["type"] != str(group.lie_type):
         raise ValueError("type mismatch between payload and group")
@@ -160,10 +160,13 @@ def graph_from_json(text: str, group: WeylGroup) -> IncidenceGraph:
     counts = tuple(vertices[where[i]]["eta"] for i in range(n))
     signs = tuple(sign_vector(vertices[where[i]]["sign"], group.rank) for i in range(n))
 
+    seen: dict[tuple[int, int], int] = {}  # edge -> its first position
     for k, e in enumerate(payload["edges"]):
         pair = isinstance(e, list) and len(e) == 2
         if not pair or not all(type(a) is int and 0 <= a < n for a in e):
             raise ValueError(f"edge {k}: {e!r} is not a pair of vertex positions 0..{n - 1}")
+        if seen.setdefault(tuple(e), k) != k:
+            raise ValueError(f"edge {k}: same edge as edge {seen[tuple(e)]}")
     rows = np.array(list(where))[np.array(payload["edges"], np.int64).reshape(-1, 2)]
     covers = np.ravel_multi_index(group.covers(), (n, n))
     bad = np.flatnonzero(~np.isin(np.ravel_multi_index(rows.T, (n, n)), covers))

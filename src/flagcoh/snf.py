@@ -3,7 +3,8 @@
 This is the package's only integer elimination: it reduces the ±1 layer
 blocks of the sign solve and decides whether a Cartan matrix is singular.
 Only the diagonal is needed downstream (ranks and elementary divisors), so
-no transform matrices are tracked.  Rows are kept as {column: entry} dicts.
+no transform matrices are tracked.  Rows are kept as {column: entry} dicts,
+the form the sign solve passes; dense rows are read into it.
 The pivot is a ±1 entry when one exists (the first row holding one), and
 otherwise an entry of least absolute value.  Row operations clear the
 pivot's column; column operations, which then touch the pivot row only,
@@ -27,8 +28,10 @@ def _add_multiple(row: dict[int, int], pivot_row: dict[int, int], q: int) -> Non
 
 
 def smith_diagonal(rows) -> list[int]:
-    """Nonzero diagonal of the Smith normal form, divisibility-chained."""
-    a = {i: {j: int(v) for j, v in enumerate(r) if v} for i, r in enumerate(rows)}
+    """Nonzero diagonal of the Smith normal form, divisibility-chained.  Each
+    row is a dense sequence or a {column: entry} dict."""
+    rows = (r.items() if isinstance(r, dict) else enumerate(r) for r in rows)
+    a = {i: {j: int(v) for j, v in r if v} for i, r in enumerate(rows)}
     a = {i: r for i, r in a.items() if r}
     diag: list[int] = []
     while a:

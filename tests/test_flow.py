@@ -85,6 +85,16 @@ def test_window_too_small():
     assert count_zeros(sig, window=10.0) == 2
 
 
+def test_exact_zero_at_a_sample_counts_once():
+    from flagcoh.flow import TauSignal
+
+    # e^t - e^-t is exactly 0.0 at the grid's middle sample t = 0
+    sig = TauSignal(1, (1.0, -1.0), (1.0, -1.0))
+    ts = np.linspace(-5.0, 5.0, 4001)
+    assert ts[2000] == 0.0 and sig.values(ts)[2000] == 0.0
+    assert count_zeros(sig, 5.0) == 1
+
+
 def test_default_window_scales_with_gap():
     s = SpectralData.make([-0.2, 0.0, 0.2])
     assert default_window(s) == pytest.approx(150.0)

@@ -169,6 +169,10 @@ def _duplicated(payload):
     payload["vertices"][4] = payload["vertices"][1]
 
 
+def _edge_repeated(payload):
+    payload["edges"].append(list(payload["edges"][0]))
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -178,6 +182,7 @@ def _duplicated(payload):
         (_edge_mutant([0, 5]), r"edge 2: e -> 121 is not a Bruhat cover"),
         (_truncated, r"payload lists 3 of the 6 elements of W\(A2\)"),
         (_duplicated, r"vertex 4: same element as vertex 1"),
+        (_edge_repeated, r"edge 2: same edge as edge 0"),
     ],
 )
 def test_json_rejects_invalid_graphs(mutate, message):

@@ -37,6 +37,8 @@ def test_smith_diagonal_products_are_determinantal_divisors():
             for row in rows:
                 row[j] = 0
         d = smith_diagonal(rows)
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+        assert smith_diagonal(sparse) == d, (rows, d)
         for k in range(1, min(m, n) + 1):
             expected = prod(d[:k]) if k <= len(d) else 0
             assert _minor_gcd(rows, k) == expected, (rows, d, k)
