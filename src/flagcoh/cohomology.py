@@ -4,20 +4,21 @@ Graph edges become matrix entries +-2, one sign kept per edge.  Signs are
 solved over GF(2) so that consecutive differentials compose to zero:
 every complete diamond (the two cover paths through a length-2 Bruhat
 interval) contributes one parity equation, and a spanning forest of the
-graph is gauged to +.  The signs are an int8 array beside the edge array.
+graph is gauged to +.  One numpy unit propagation over the whole graph
+fixes every sign these force; GF(2) elimination sees only the edges left
+unknown.  The signs are an int8 array beside the edge array.
 
 The differential only has entries on graph edges, so the complex is
 block-diagonal over the graph's connected components; it is solved and
 reduced one component at a time, and one join of the edge array on its
 middle vertex finds the diamonds of every parity equation and of the
-d o d = 0 check.  Within a
-component, signs are accepted when every nonzero Smith divisor of each +-1
-layer block is odd, as the exponent-2 torsion of the cell structure
-demands; since B = U D V with U, V unimodular, hence invertible mod 2,
-this says rank_Q B = rank_GF2 B.  An exhaustive search over the
-component's GF(2) solution space makes Unsolvable mean that no valid
-signs exist.  The accepted diagonals, doubled, are the Smith forms of the
-+-2 blocks, so cohomology only sums them."""
+d o d = 0 check.  Within a component, signs are accepted when every
+nonzero Smith divisor of each +-1 layer block is odd, as the exponent-2
+torsion of the cell structure demands; since B = U D V with U, V
+unimodular, hence invertible mod 2, this says rank_Q B = rank_GF2 B.  An
+exhaustive search over the component's GF(2) solution space makes
+Unsolvable mean that no valid signs exist.  The accepted diagonals,
+doubled, are the Smith forms of the +-2 blocks, so cohomology only sums them."""
 
 from __future__ import annotations
 
@@ -166,11 +167,12 @@ def assign_signs(graph: IncidenceGraph, gauge: str = "forward") -> ChainComplex:
     edge_cuts = heads.tolist() + [comp.size]
     diamond_cuts = np.searchsorted(comp[diamonds[:, 0]], comp[heads]).tolist() + [len(diamonds)]
 
+    value = _propagate(np.where(tree, 0, -1).astype(np.int8), diamonds)
     signs = np.empty(len(edges), np.int8)
     smith: list[list[int]] = [[] for _ in graph.group.length_distribution()[1:]]
     for a, b, lo, hi in zip(edge_cuts, edge_cuts[1:], diamond_cuts, diamond_cuts[1:]):
         signs[scan[a:b]], diags = _solve_component(
-            graph, edges[scan[a:b]], np.flatnonzero(tree[a:b]), diamonds[lo:hi] - a
+            graph, edges[scan[a:b]], value[a:b], diamonds[lo:hi] - a
         )
         for k, diag in diags.items():
             smith[k] += [2 * d for d in diag]
@@ -185,13 +187,51 @@ def assign_signs(graph: IncidenceGraph, gauge: str = "forward") -> ChainComplex:
     )
 
 
+def _propagate(value: np.ndarray, diamonds: np.ndarray) -> np.ndarray:
+    """Each round, every diamond with one unknown edge makes itself odd (in place
+    on value: 0 is +, 1 is -, -1 unknown); it stops when no such diamond is left."""
+    while True:
+        known = value[diamonds]
+        unknown = (known < 0).sum(axis=1)
+        one = unknown == 1
+        if not one.any():
+            return value
+        forced = diamonds[one, (known[one] < 0).argmax(axis=1)]
+        value[forced] = 1 - known[one].clip(0).sum(axis=1) % 2
+        diamonds = diamonds[unknown > 1]
+
+
+def _solve_forced(value: np.ndarray, diamonds: np.ndarray) -> tuple[int, list[int]] | None:
+    """_solve_gf2's answer for the diamond equations plus the edges value fixes,
+    from eliminating only the unknown edges; None if they clash (a known
+    diamond that is even joins the system as the equation 0 = 1)."""
+    known = value[diamonds]
+    keep = (known < 0).any(axis=1) | (known.sum(axis=1) % 2 == 0)
+    free = np.flatnonzero(value < 0).tolist()
+    label = np.where(known < 0, np.searchsorted(free, diamonds), -1)[keep].tolist()
+    rhs = (1 - known[keep].clip(0).sum(axis=1) % 2).tolist()
+    equations = [(sum(1 << q for q in row if q >= 0), r) for row, r in zip(label, rhs)]
+    solved = _solve_gf2(equations, len(free))
+    if solved is None:
+        return None
+
+    def expand(vec: int, packed: int = 0) -> int:  # bit q of vec is edge free[q]
+        return packed | sum(1 << p for q, p in enumerate(free) if (vec >> q) & 1)
+
+    forced = int.from_bytes(np.packbits(value == 1, bitorder="little").tobytes(), "little")
+    return expand(solved[0], forced), [expand(vec) for vec in solved[1]]
+
+
 def _solve_component(
-    graph: IncidenceGraph, edges, tree, diamonds
+    graph: IncidenceGraph, edges, value, diamonds
 ) -> tuple[np.ndarray, dict[int, list[int]]]:
     """Signs (+-1 per row of edges) for one component, and the Smith diagonal
     of each of its +-1 layer blocks under them.  edges are the component's
-    rows in scan order; tree and the rows of diamonds (the four edges of each
-    complete diamond) are positions among them.
+    rows in scan order; value (the tree edges + and the edges propagation
+    forced) and the rows of diamonds (the four edges of each complete
+    diamond) are positions among them.  A forced edge x puts e_x in the row
+    space, whose top bits do not depend on the elimination, so eliminating
+    only the unknown edges keeps the full system's pivots and solutions.
 
     The diamond equations never see a cycle that stays between two adjacent
     length layers, so its sign product is free; the underlying cell
@@ -201,11 +241,6 @@ def _solve_component(
     All 2^k combinations of the GF(2) kernel are tried, so Unsolvable means
     no valid signs exist for this component.
     """
-    equations = [(1 << p, 0) for p in tree.tolist()]
-    # one parity equation per complete diamond
-    for a1, a2, b1, b2 in diamonds.tolist():
-        equations.append(((1 << a1) ^ (1 << a2) ^ (1 << b1) ^ (1 << b2), 1))
-
     # layer k's edges by (top, bottom), so each block row, one per top vertex,
     # is a sparse {bottom vertex: +-1} row with its columns ascending
     pairs = edges.tolist()
@@ -225,7 +260,7 @@ def _solve_component(
         f"{graph.group.lie_type} eps={format_signs(graph.eps)}, component of "
         f"{word_label(graph.group.word(int(edges.min())))}"
     )
-    solved = _solve_gf2(equations, len(pairs))
+    solved = _solve_forced(value, diamonds)
     if solved is None:
         raise Unsolvable(f"no consistent sign assignment for {where}")
     base, kernel = solved

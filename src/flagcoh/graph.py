@@ -17,6 +17,8 @@ import numpy as np
 from .blowup import Signs, _as_tuples, all_minus, chain_walk, format_signs, sign_vector
 from .weyl import WeylGroup, word_label
 
+_FOREST_SLICE = 1 << 21  # rows spanning_forest turns into Python ints at a time
+
 
 @dataclass
 class IncidenceGraph:
@@ -80,11 +82,12 @@ def spanning_forest(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return x
 
     tree = bytearray(len(edges))
-    for p, (i, j) in enumerate(zip(edges[:, 0].tolist(), edges[:, 1].tolist())):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-            tree[p] = 1
+    for start in range(0, len(edges), _FOREST_SLICE):
+        for p, (i, j) in enumerate(zip(*edges[start : start + _FOREST_SLICE].T.tolist()), start):
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+                tree[p] = 1
     return np.array([find(v) for v in range(n)], np.int32), np.frombuffer(tree, bool)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from flagcoh import cohomology
-from flagcoh.blowup import all_minus, all_sign_vectors, blowup_poly, blowup_table
+from flagcoh.blowup import all_minus, all_sign_vectors, blowup_poly, blowup_table, sign_vector
 from flagcoh.cartan import compact_dual_data
 from flagcoh.errors import DiamondViolation, Unsolvable
 from flagcoh.cohomology import (
@@ -18,7 +18,7 @@ from flagcoh.cohomology import (
     mod2_dims,
     rational_betti,
 )
-from flagcoh.graph import build_graph
+from flagcoh.graph import build_graph, spanning_forest
 from flagcoh.snf import elementary_divisors, rank, smith_diagonal
 from flagcoh.weyl import enumerate_group
 
@@ -247,3 +247,51 @@ def test_broken_diamond_raises_diamond_violation():
         assign_signs(broken)
     assert info.value.violations
     assert set(info.value.violations) <= set(diamond_check(broken))
+
+
+def test_propagation_and_residual_solve_match_the_full_gf2_system():
+    # the full system is one (1 << p, 0) per tree edge and one four-bit mask
+    # per diamond; propagation plus the solve over the edges it leaves unknown
+    # must give the same base solution and kernel basis, edge for edge
+    cases = [
+        (name, eps, gauge)
+        for name in ["A3", "B3", "C3", "G2", "D4", "B4", "C4"]
+        for eps in all_sign_vectors(int(name[1]))
+        for gauge in ("forward", "reverse")
+    ]
+    residual = set()
+    for name, eps, gauge in cases:
+        g = build_graph(name, eps)
+        scan = g.edges[::-1] if gauge == "reverse" else g.edges
+        tree = spanning_forest(g.vertex_count, scan)[1]
+        diamonds = cohomology._diamonds(scan)[0].reshape(-1, 4)
+        full = [(1 << p, 0) for p in np.flatnonzero(tree).tolist()]
+        full += [(sum(1 << p for p in row), 1) for row in diamonds.tolist()]
+        value = cohomology._propagate(np.where(tree, 0, -1).astype(np.int8), diamonds)
+        base, kernel = cohomology._solve_forced(value, diamonds)
+        assert (base, kernel) == cohomology._solve_gf2(full, len(scan)), (name, eps, gauge)
+        if (value < 0).any() and kernel:
+            residual.add((name, eps))
+    # these keep unknown edges after propagation and a nonzero kernel
+    for name, eps in [("B3", "---"), ("B4", "----"), ("B4", "+---"), ("B4", "---+"),
+                      ("C4", "----"), ("D4", "----")]:
+        assert (name, sign_vector(eps, len(eps))) in residual, (name, eps)
+
+
+def test_conflicting_forced_edge_is_unsolvable():
+    # a hand-built system on seven edges; A3's first seven edge rows only
+    # name the component in the message
+    g = build_graph("A3", "+++")
+    t0, t1, t2, t3, a, a2, b = range(7)
+    diamonds = np.array([
+        [t0, t1, t2, a],   # round 1: a = 1
+        [t0, t1, t3, a2],  # round 1: a2 = 1
+        [t0, t1, a, b],    # round 2: b = 0
+        [t0, a, a2, b],    # round 2: b = 1
+    ])
+    value = cohomology._propagate(np.array([0, 0, 0, 0, -1, -1, -1], np.int8), diamonds)
+    assert value[[a, a2]].tolist() == [1, 1] and value[b] in (0, 1)
+    assert cohomology._solve_forced(value, diamonds) is None
+    message = "no consistent sign assignment for A3 eps=+++, component of e"
+    with pytest.raises(Unsolvable, match=re.escape(message)):
+        cohomology._solve_component(g, g.edges[:7], value, diamonds)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from flagcoh import graph
 from flagcoh.blowup import all_minus, all_sign_vectors
 from flagcoh.graph import (
     build_graph,
@@ -10,6 +11,7 @@ from flagcoh.graph import (
     export_graph,
     graph_from_json,
     negative_components,
+    spanning_forest,
 )
 from flagcoh.weyl import enumerate_group
 
@@ -53,6 +55,17 @@ def test_component_counts():
     assert len(components(build_graph("A2", "--"))) == 4
     assert len(components(build_graph("A3", "---"))) == 10
     assert len(components(build_graph("B3", "---"))) == 17
+
+
+def test_spanning_forest_is_the_same_in_slices(monkeypatch):
+    # the columns are read a slice at a time; a slice boundary anywhere,
+    # even inside a component, leaves the roots and the tree edges as they are
+    g = build_graph("D4", all_minus(4))
+    root, tree = spanning_forest(g.vertex_count, g.edges)
+    for size in (1, 7, len(g.edges) - 1):
+        monkeypatch.setattr(graph, "_FOREST_SLICE", size)
+        got = spanning_forest(g.vertex_count, g.edges)
+        assert got[0].tolist() == root.tolist() and got[1].tolist() == tree.tolist(), size
 
 
 def test_components_partition_vertices():
