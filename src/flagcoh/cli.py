@@ -4,6 +4,12 @@ Every output is deterministic for a fixed argv: element order is always
 (length, matrix key), polynomial coefficients are emitted as decimal
 strings, and sign vectors are '+'/'-' strings.  FLAGCOH_CAP overrides the
 enumeration cap.
+
+Each handler cmd_<name>(args, t, eps) gets the parsed LieType and sign
+vector (None when the subcommand has no --type or --eps) and returns
+(body, ok): the export text for `graph`, else the payload fields that
+follow the command/type/eps header.  `main` parses both flags, builds
+that header, writes the output once and exits 0 when ok, else 1.
 """
 
 from __future__ import annotations
@@ -44,8 +50,8 @@ def _factored(p: QPoly) -> str | None:
     return "*".join(parts) if parts else "1"
 
 
-def _emit(payload, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+def _emit(body, out_path: str | None) -> None:
+    text = body if isinstance(body, str) else json.dumps(body, indent=2) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -53,25 +59,17 @@ def _emit(payload, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def cmd_weyl(args) -> int:
-    t = LieType.parse(args.type)
-    payload = {"command": "weyl", "type": str(t)}
+def cmd_weyl(args, t, eps):
     if args.emit == "word-of-longest":
-        payload["word_of_longest"] = list(longest_element(t).word)
-    else:
-        group = enumerate_group(t, _cap(args))
-        if args.emit == "order":
-            payload["order"] = group.order
-        else:
-            payload["lengths"] = group.length_distribution()
-    _emit(payload, args.out)
-    return 0
-
-
-def cmd_eta(args) -> int:
-    t = LieType.parse(args.type)
+        return {"word_of_longest": list(longest_element(t).word)}, True
     group = enumerate_group(t, _cap(args))
-    eps = blowup.sign_vector(args.eps, t.rank)
+    if args.emit == "order":
+        return {"order": group.order}, True
+    return {"lengths": group.length_distribution()}, True
+
+
+def cmd_eta(args, t, eps):
+    group = enumerate_group(t, _cap(args))
     table = blowup.blowup_table(group, eps)
     values = [
         {
@@ -81,83 +79,49 @@ def cmd_eta(args) -> int:
         }
         for i in group.canonical_order()
     ]
-    payload = {
-        "command": "eta",
-        "type": str(t),
-        "eps": blowup.format_signs(eps),
-        "values": values,
-        "max": table.max_value,
-    }
-    _emit(payload, args.out)
-    return 0
+    return {"values": values, "max": table.max_value}, True
 
 
-def cmd_pq(args) -> int:
-    t = LieType.parse(args.type)
-    eps = blowup.sign_vector(args.eps, t.rank)
+def cmd_pq(args, t, eps):
     p = blowup.blowup_poly(t, eps)
-    payload = {
-        "command": "pq",
-        "type": str(t),
-        "eps": blowup.format_signs(eps),
-        "poly": _poly_pairs(p),
-    }
+    body = {"poly": _poly_pairs(p)}
     factored = _factored(p)
     if factored is not None:
-        payload["factored"] = factored
-    _emit(payload, args.out)
-    return 0
+        body["factored"] = factored
+    return body, True
 
 
-def cmd_graph(args) -> int:
-    t = LieType.parse(args.type)
+def cmd_graph(args, t, eps):
+    g = graph.build_graph(enumerate_group(t, _cap(args)), eps)
+    return graph.export_graph(g, args.format), True
+
+
+def cmd_cohomology(args, t, eps):
     group = enumerate_group(t, _cap(args))
-    eps = blowup.sign_vector(args.eps, t.rank)
-    g = graph.build_graph(group, eps)
-    text = graph.export_graph(g, args.format)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-def cmd_cohomology(args) -> int:
-    t = LieType.parse(args.type)
-    group = enumerate_group(t, _cap(args))
-    eps = blowup.sign_vector(args.eps, t.rank)
-    payload = {
-        "command": "cohomology",
-        "type": str(t),
-        "eps": blowup.format_signs(eps),
-        "ring": args.ring,
-    }
+    body = {"ring": args.ring}
     if args.ring == "F2":
-        payload["dims"] = list(cohomology.mod2_dims(group))
+        body["dims"] = list(cohomology.mod2_dims(group))
     else:
         groups = cohomology.integral_cohomology(group, eps)
         if args.ring == "Q":
-            payload["betti"] = list(groups.free_ranks())
+            body["betti"] = list(groups.free_ranks())
         else:
-            payload["groups"] = [
+            body["groups"] = [
                 {"free_rank": free, "torsion": list(tors)}
                 for free, tors in groups.groups
             ]
-    _emit(payload, args.out)
-    return 0
+    return body, True
 
 
-def cmd_tau(args) -> int:
-    t = LieType.parse(args.type)
+def cmd_tau(args, t, eps):
     family = tau.nilpotent_tau_family(t)
-    payload = {"command": "tau", "type": str(t), "emit": args.emit}
+    body = {"emit": args.emit}
     if args.emit == "multiplicity":
-        payload["multiplicity"] = family.multiplicity()
+        body["multiplicity"] = family.multiplicity()
     elif args.emit == "min-degrees":
-        payload["min_degrees"] = list(family.min_degrees())
+        body["min_degrees"] = list(family.min_degrees())
     else:
-        payload["taus"] = [
+        body["taus"] = [
             {
                 "kind": entry.kind,
                 "vars": list(entry.poly.vars),
@@ -172,17 +136,13 @@ def cmd_tau(args) -> int:
             }
             for entry in family.entries
         ]
-    _emit(payload, args.out)
-    return 0
+    return body, True
 
 
-def cmd_chevalley(args) -> int:
-    t = LieType.parse(args.type)
+def cmd_chevalley(args, t, eps):
     data = compact_dual_data(t)
     op = chevalley.order_poly(t)
-    payload = {
-        "command": "chevalley",
-        "type": str(t),
+    body = {
         "dual_compact": data.name,
         "degrees": list(data.degrees),
         "r": op.r,
@@ -192,61 +152,47 @@ def cmd_chevalley(args) -> int:
     if args.verify:
         if args.prime is None:
             raise ValueError("--verify needs --prime")
-        report = chevalley.verify_order(t, chevalley.PrimeField(args.prime))
-        payload["verify"] = report
-        _emit(payload, args.out)
-        return 0 if report["match"] else 1
+        body["verify"] = chevalley.verify_order(t, chevalley.PrimeField(args.prime))
+        return body, body["verify"]["match"]
     if args.prime is not None:
-        payload["order_at_prime"] = op.order_at(args.prime)
-    _emit(payload, args.out)
-    return 0
+        body["order_at_prime"] = op.order_at(args.prime)
+    return body, True
 
 
-def cmd_flow(args) -> int:
+def cmd_flow(args, t, eps):
     values = [float(x) for x in args.spectrum.split(",")]
     if len(values) != args.rank + 1:
         raise ValueError(f"rank {args.rank} needs {args.rank + 1} eigenvalues")
     spec = SpectralData.make(values)
-    window = None if args.window == "auto" else float(args.window)
-    if window is None:
-        window = default_window(spec)
+    window = default_window(spec) if args.window == "auto" else float(args.window)
     per = [
         count_zeros(tau_signal(spec, j), window, args.samples)
         for j in range(1, spec.rank + 1)
     ]
     eta_star = blowup.longest_blowups(LieType("A", spec.rank))
-    payload = {
-        "command": "flow",
+    match = sum(per) == eta_star
+    body = {
         "type": f"A{spec.rank}",
         "spectrum": list(spec.eigenvalues),
         "window": window,
         "per_tau_zeros": per,
         "total": sum(per),
         "eta_wstar": eta_star,
-        "match": sum(per) == eta_star,
+        "match": match,
     }
-    _emit(payload, args.out)
-    return 0 if payload["match"] else 1
+    return body, match
 
 
-def cmd_verify(args) -> int:
-    t = LieType.parse(args.type)
+def cmd_verify(args, t, eps):
     results = verify.run_checks(t, _cap(args))
-    payload = {
-        "command": "verify",
-        "type": str(t),
-        "checks": [
-            {"name": r.name, "status": r.status, "detail": r.detail} for r in results
-        ],
-        "passed": verify.all_passed(results),
-    }
-    _emit(payload, args.out)
     for r in results:
         line = f"{r.status.upper():5s} {t} {r.name}"
         if r.detail:
             line += f" ({r.detail})"
         print(line, file=sys.stderr)
-    return 0 if payload["passed"] else 1
+    passed = verify.all_passed(results)
+    checks = [{"name": r.name, "status": r.status, "detail": r.detail} for r in results]
+    return {"checks": checks, "passed": passed}, passed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,7 +284,18 @@ def main(argv=None) -> int:
         if value in stash:
             setattr(args, attr, stash[value])
     try:
-        return args.fn(args)
+        t = LieType.parse(args.type) if hasattr(args, "type") else None
+        eps = blowup.sign_vector(args.eps, t.rank) if hasattr(args, "eps") else None
+        body, ok = args.fn(args, t, eps)
+        if not isinstance(body, str):
+            header = {"command": args.command}
+            if t is not None:
+                header["type"] = str(t)
+            if eps is not None:
+                header["eps"] = blowup.format_signs(eps)
+            body = header | body
+        _emit(body, args.out)
+        return 0 if ok else 1
     except FlagcohError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

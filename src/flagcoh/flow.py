@@ -144,6 +144,10 @@ def count_zeros(sig: TauSignal, window: float | None = None, samples: int = 4001
     """
     if window is None:
         raise ValueError("pass an explicit window or use default_window(spec)")
+    if not window > 0:
+        raise ValueError(f"window must be > 0, got {window}")
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples, got {samples}")
     vals = sig.values(np.linspace(-window, window, samples))
     lo = min(range(len(sig.rates)), key=lambda k: sig.rates[k])
     hi = max(range(len(sig.rates)), key=lambda k: sig.rates[k])

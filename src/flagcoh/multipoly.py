@@ -129,14 +129,13 @@ class MultiPoly:
                 for v, e in zip(self.vars, exp)
                 if e
             ]
-            mono = "*".join(factors) if factors else "1"
-            coef = str(c) if c.denominator != 1 or not factors else (
-                str(c.numerator) if abs(c) != 1 or not factors else ("-" if c < 0 else "")
-            )
-            if factors and abs(c) == 1 and c.denominator == 1:
+            mono = "*".join(factors)
+            if not factors:
+                parts.append(str(c))
+            elif abs(c) == 1:
                 parts.append(("-" if c < 0 else "") + mono)
             else:
-                parts.append(f"{coef}*{mono}" if factors else str(c))
+                parts.append(f"{c}*{mono}")
         return " + ".join(parts).replace("+ -", "- ")
 
     __repr__ = __str__

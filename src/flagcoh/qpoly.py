@@ -125,29 +125,22 @@ def divide_exact(p: QPoly, divisor: QPoly) -> QPoly | None:
 
 
 def factor_q_minus_form(p: QPoly) -> tuple[int, ...] | None:
-    """Degrees d_i if p = prod_i (q^{d_i} - 1), found by backtracking; else None."""
-    if p == QPoly.one():
-        return ()
+    """Degrees d_i if p = prod_i (q^{d_i} - 1), else None.
+
+    Greedy and exact: with D = max d_i, the cyclotomic factor Phi_D divides
+    p and Phi_d does not for any d > D, so q^D - 1 is the highest q^d - 1
+    that divides p, and the multiset {d_i} is unique.
+    """
     if p.is_zero() or p.coeffs.get(p.degree) != 1:
         return None
-    memo: dict[tuple, tuple | None] = {}
-
-    def search(poly: QPoly) -> tuple | None:
-        if poly == QPoly.one():
-            return ()
-        key = tuple(poly.items())
-        if key in memo:
-            return memo[key]
-        found = None
-        for d in range(poly.degree, 0, -1):
-            quo = divide_exact(poly, q_power_minus_one(d))
-            if quo is None:
-                continue
-            rest = search(quo)
-            if rest is not None:
-                found = tuple(sorted(rest + (d,)))
+    degrees = []
+    while p != QPoly.one():
+        for d in range(p.degree, 0, -1):
+            quo = divide_exact(p, q_power_minus_one(d))
+            if quo is not None:
                 break
-        memo[key] = found
-        return found
-
-    return search(p)
+        else:
+            return None
+        degrees.append(d)
+        p = quo
+    return tuple(sorted(degrees))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from flagcoh.blowup import all_minus, blowup_poly
@@ -37,6 +39,16 @@ def test_factor_q_minus_form():
     assert factor_q_minus_form(QPoly({1: 1})) is None
     # q^2 - 1 must not be eaten greedily as (q - 1) * (q + 1)
     assert factor_q_minus_form(q_power_minus_one(2)) == (2,)
+    rng = random.Random(5)
+    for _ in range(300):
+        degrees = tuple(sorted(rng.randint(1, 12) for _ in range(rng.randint(1, 6))))
+        p = QPoly.one()
+        for d in degrees:
+            p = p * q_power_minus_one(d)
+        assert factor_q_minus_form(p) == degrees
+        # any product of q^d - 1 vanishes at q = 1; adding +-q^e makes p(1) = +-1
+        e = rng.randint(0, p.degree)
+        assert factor_q_minus_form(p + QPoly({e: rng.choice((-1, 1))})) is None
 
 
 def test_order_poly_examples():

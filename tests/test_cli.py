@@ -1,6 +1,8 @@
+import hashlib
 import json
 
 import jsonschema
+import pytest
 
 from flagcoh.cli import main
 
@@ -148,6 +150,9 @@ def test_usage_errors(capsys):
     assert "usage error:" in capsys.readouterr().err
     assert main(["flow", "--rank", "2", "--spectrum", "1,2"]) == 2  # one eigenvalue short
     assert "usage error:" in capsys.readouterr().err
+    for grid in (["--samples", "0"], ["--samples", "1"], ["--window", "-5"]):
+        assert main(["flow", "--rank", "1", "--spectrum", "-1,1", *grid]) == 2
+        assert "usage error:" in capsys.readouterr().err
 
 
 def test_cap_error_is_reported(capsys):
@@ -191,3 +196,33 @@ def test_weyl_e7_under_default_cap_builds_no_elements(capsys, monkeypatch):
         assert tuple(payload["lengths"]) == _height_product(cartan_matrix("E7"))
     finally:
         weyl._enumerate.cache_clear()  # the E7 tables hold about 110 MB
+
+
+# sha256 of stdout and the exit code, recorded before the handlers were folded
+# into one runner in `main`; argparse wraps --help at $COLUMNS, pinned to 80
+GOLDEN = [
+    (('pq', '--help'), 0, "1a3c4805a6cf6fe1241e74b55219a54e329dec2c5b74d28aa32a180b8283ad22"),
+    (('weyl', '--type', 'A3'), 0, "b64953c20d0d4983ae23370803b5c582fc58aa93b64f45d175dbbda21aadbc77"),
+    (('weyl', '--type', 'E8', '--emit', 'word-of-longest'), 0, "e1259420ca7662d4e1d37ccc783eed11afa9c5e61a704757b0276f337ec9c489"),
+    (('eta', '--type', 'B3', '--eps', '-+-'), 0, "5c3bce5e692b49a1e5d1ff5d1beb631c3bd967c26f16fbf083038ab2599c5f2f"),
+    (('pq', '--type', 'E8', '--eps', '--------'), 0, "4ffb548fefa82acd84c7667f68d200d27e7cf14335399f3791f2cd43fc02b19c"),
+    (('pq', '--type', 'D5', '--eps', '-+-+-'), 0, "b68e1a9e69fe6c2de3b502bf9e09967f292bcecfd44f4040463789390567d009"),
+    (('graph', '--type', 'A3', '--eps', '---', '--format', 'json'), 0, "f8232928634561ea25a84e229c0f249c9b57156011ec64fb004f562c10698eaf"),
+    (('graph', '--type', 'B3', '--eps', '-+-', '--format', 'dot'), 0, "62a982a2129c1d106b86762ef0219c68e9089e6987653d2dbf96c24b3114414d"),
+    (('cohomology', '--type', 'B3', '--eps', '---'), 0, "86e7c2fb63b817b6c8a9c98fec13b224bc0868aba64f1b3fff46199d01be0618"),
+    (('cohomology', '--type', 'G2', '--eps', '--', '--ring', 'F2'), 0, "82d7c9244e5d18b9a48020554f98074bc0dc29da6dbbb1ff1679b39f908d1f87"),
+    (('tau', '--type', 'B3', '--emit', 'poly'), 0, "a404815c6c3b8acb2056d99a3c7656e7fc7ea9d467e2350d1f7e5dd84abab1c6"),
+    (('chevalley', '--type', 'A3', '--prime', '13', '--verify'), 0, "e3da764faa7be24891f28f66fe52815d6b10930e1037abb9ef146a98b35f93a1"),
+    (('flow', '--rank', '2', '--spectrum', '-2,0.5,1.5', '--window', '40', '--samples', '2001'), 0, "e70a8bfe25797b685cf23cbe6e724f6e1dd28cd59e3889cc096f17bec328e2c6"),
+    (('verify', '--type', 'G2'), 0, "39dab876a19a1ef56c81fae4593d968adbbd33ed39f5d3bc8fe3383efb9439fd"),
+    (('pq', '--type', 'A2', '--eps', '---'), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (('eta', '--type', 'E8', '--eps', '--------'), 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
+def test_golden_bytes(capsys, monkeypatch, argv, code, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("FLAGCOH_CAP", raising=False)
+    assert main(list(argv)) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

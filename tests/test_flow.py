@@ -85,6 +85,16 @@ def test_window_too_small():
     assert count_zeros(sig, window=10.0) == 2
 
 
+def test_unusable_grid_is_a_value_error():
+    from flagcoh.flow import TauSignal
+
+    sig = TauSignal(1, (1.0, -1.0), (1.0, -1.0))
+    for window, samples in ((5.0, 0), (5.0, 1), (0.0, 11), (-5.0, 11), (float("nan"), 11)):
+        with pytest.raises(ValueError):
+            count_zeros(sig, window, samples)
+    assert count_zeros(sig, 5.0, 2) == 1
+
+
 def test_exact_zero_at_a_sample_counts_once():
     from flagcoh.flow import TauSignal
 
