@@ -7,6 +7,7 @@ tuple; two polynomials combine only when their variable tuples agree.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class MultiPoly:
@@ -146,35 +147,59 @@ def leading_minors(matrix: list[list[MultiPoly]]) -> list[MultiPoly]:
 
     A subset DP over columns, row by row: after row k-1, dp[mask] is the
     minor of the first k rows on the column subset `mask`, so the entry for
-    the first k columns is the k-th leading minor."""
+    the first k columns is the k-th leading minor.
+
+    The expansion runs in integers. Every entry is scaled by den, the lcm of
+    all coefficient denominators, so a minor of k rows is den^k times the
+    true one. Each exponent tuple is packed into one int, digit i in base
+    B = 1 + sum over rows of the row's largest exponent: a monomial of a
+    minor multiplies one monomial from each of its rows, so no exponent of
+    it exceeds B - 1, no digit carries, and a product of monomials is one
+    int addition of their keys."""
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
     vars = matrix[0][0].vars
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    dp = {0: MultiPoly.constant(vars, 1)}
+    if any(entry.vars != vars for row in matrix for entry in row):
+        raise ValueError(f"variable mismatch: every entry must have variables {vars}")
+    den = lcm(*(c.denominator for row in matrix for entry in row for c in entry.terms.values()))
+    base = 1 + sum(max((max(e, default=0) for x in row for e in x.terms), default=0) for row in matrix)
+
+    def pack(exp):
+        return sum(e * base**i for i, e in enumerate(exp))
+
+    def unpack(key):
+        return tuple(key // base**i % base for i in range(len(vars)))
+
+    rows = [
+        [{pack(e): c.numerator * (den // c.denominator) for e, c in x.terms.items()} for x in row]
+        for row in matrix
+    ]
+    dp = {0: {0: 1}}
     minors = []
-    for r, row in enumerate(matrix):
-        ndp: dict[int, MultiPoly] = {}
+    for r, row in enumerate(rows):
+        ndp: dict[int, dict[int, int]] = {}
         for mask, minor in dp.items():
-            if minor.is_zero():
-                continue
             used_below = 0
-            for col in range(n):
+            for col, entry in enumerate(row):
                 bit = 1 << col
                 if mask & bit:
                     used_below += 1
                     continue
-                entry = row[col]
-                if not entry.is_zero():
-                    term = minor * entry
-                    if (r + used_below) % 2:
-                        term = -term
-                    key = mask | bit
-                    ndp[key] = ndp.get(key, MultiPoly.zero(vars)) + term
-        dp = ndp
-        minors.append(dp.get((1 << (r + 1)) - 1, MultiPoly.zero(vars)))
+                if entry:
+                    acc = ndp.setdefault(mask | bit, {})
+                    sign = -1 if (r + used_below) % 2 else 1
+                    for e1, c1 in minor.items():
+                        c1 *= sign
+                        for e2, c2 in entry.items():
+                            e = e1 + e2
+                            acc[e] = acc.get(e, 0) + c1 * c2
+        dp = {mask: nz for mask, acc in ndp.items() if (nz := {e: c for e, c in acc.items() if c})}
+        scale = den ** (r + 1)
+        top = dp.get((1 << (r + 1)) - 1, {})
+        minors.append(MultiPoly(vars, {unpack(e): Fraction(c, scale) for e, c in top.items()}))
     return minors
 
 

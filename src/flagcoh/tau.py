@@ -22,7 +22,8 @@ Per family the generator lists are:
         symmetric determinant that borders it, so the bordered matrix's
         leading minors are all of D's taus
   G_2 : tau_1 = h_6, tau_2 = Wr(h_6, h_5) on t_1, t_5
-E and F have no such formulas and are rejected.
+E and F have no such formulas and are rejected. So is any rank above
+_MAX_DIM = 7: each type's matrix has dimension equal to its rank.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ PRODUCT = "product"  # stores tau_{l-1} * tau_l
 # t_1-shift sends (a, m) to (a, m-1), killing m = 0 (s is a constant).
 HExpr = dict[tuple[int, int], int]
 
-_MAX_DIM = 6  # largest rank whose exact determinants are attempted
+_MAX_DIM = 7  # largest rank whose exact determinants are attempted
 
 
 def _h(m: int) -> HExpr:

@@ -52,6 +52,9 @@ def test_det_2x2_and_3x3():
         [one * 0, one, x],
     ]
     assert det(m) == x * x * x - x - x
+    y = MultiPoly.variable(("y",), "y")
+    with pytest.raises(ValueError):
+        det([[x, one], [one, y]])
 
 
 def _leibniz(m):
@@ -87,6 +90,41 @@ def test_leading_minors_match_each_leading_submatrix(seed):
     for k in range(1, n + 1):
         sub = [row[:k] for row in m[:k]]
         assert minors[k - 1] == det(sub) == _leibniz(sub)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_leading_minors_with_wide_exponents(seed):
+    # exponents up to 6 in 3 variables, so the packed keys of a product
+    # would carry between digits if the base were too small
+    rng = random.Random(100 + seed)
+    vars = ("x", "y", "z")
+    n = 1 + seed % 5
+
+    def entry():
+        if rng.random() < 0.25:
+            return MultiPoly.zero(vars)
+        return MultiPoly(vars, {
+            tuple(rng.randrange(7) for _ in vars): Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 4, 7)))
+            for _ in range(rng.randint(1, 3))
+        })
+
+    m = [[entry() for _ in range(n)] for _ in range(n)]
+    if seed == 7:
+        m[1] = [MultiPoly.zero(vars)] * n
+    minors = leading_minors(m)
+    for k in range(1, n + 1):
+        assert minors[k - 1] == _leibniz([row[:k] for row in m[:k]])
+    if seed == 7:
+        assert minors[0] == m[0][0] and all(p.is_zero() for p in minors[1:])
+
+
+def test_leading_minors_without_variables():
+    rng = random.Random(7)
+    m = [[MultiPoly.constant((), Fraction(rng.randint(-9, 9), rng.randint(1, 6))) for _ in range(4)] for _ in range(4)]
+    minors = leading_minors(m)
+    assert all(p.vars == () for p in minors)
+    for k in range(1, 5):
+        assert minors[k - 1] == _leibniz([row[:k] for row in m[:k]])
 
 
 def test_h_basics():
@@ -198,6 +236,13 @@ def test_multiplicity_equals_longest_blowups():
         assert singularity_multiplicity(name) == longest_blowups(name), name
 
 
+@pytest.mark.parametrize("name,expected", [("A7", 16), ("D7", 24)])
+def test_rank_seven_multiplicities_equal_longest_blowups(name, expected):
+    from flagcoh.blowup import longest_blowups
+
+    assert singularity_multiplicity(name) == longest_blowups(name) == expected
+
+
 def test_a_type_t1_degrees():
     # t_1-degree of tau_k is k(l - k + 1); the total is the weighted height
     for l in (2, 3, 4):
@@ -246,7 +291,7 @@ def test_unsupported_families():
     with pytest.raises(UnsupportedType):
         nilpotent_tau_family("F4")
     with pytest.raises(ValueError):
-        nilpotent_tau_family("A7")  # determinant dimension above the bound
+        nilpotent_tau_family("A8")  # determinant dimension above the bound
 
 
 def test_odd_squared_degree_is_reported():

@@ -38,6 +38,13 @@ def test_e8_runs_longest_checks_only():
     assert named["enumeration"].detail == "|W|=696729600 beyond _TABLE_LIMIT=60000"
 
 
+def test_tau_multiplicity_runs_beyond_the_enumeration_gate():
+    named = by_name(run_checks("B7"))
+    assert named["enumeration"].status == "skip"
+    assert named["tau-multiplicity"].status == "pass"
+    assert named["tau-multiplicity"].detail == "28 vs 28"
+
+
 def test_component_reference_values_enforced():
     named = by_name(run_checks("A3"))
     assert named["graph-components"].status == "pass"
