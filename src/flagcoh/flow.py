@@ -1,15 +1,20 @@
 """Exact A-type Toda tau-functions along the t_1 flow, and their zeros.
 
-The flow with prescribed distinct spectrum is solved through the companion
-matrix: tau_j(t) is the j x j minor of exp(t C) against the longest-element
-coset, which Cauchy-Binet turns into an explicit exponential sum over
-j-subsets of eigenvalues.  Zero counting is then numeric: sign changes
-between consecutive samples of a grid.
+tau_j(t) is the minor on rows 1..j and the coset's columns J of
+V diag(w e^{lam t}) V^-1, with V the Vandermonde matrix of the sorted spectrum
+lam and w the higher-time weights.  Cauchy-Binet and Jacobi's complementary
+minors make it a closed-form sum over j-subsets S of eigenvalues, with rate
+sum_S lam_b and coefficient (-1)^(sum S + sum J) D(S) D(S^c) / D(all) prod_S w_b,
+times prod_{b not in S} lam_b^j on the identity coset; D(I) is the Vandermonde
+product prod_{a < b in I} (lam_b - lam_a) > 0, so D(S) D(S^c) / D(all) is
+1 / prod |lam_a - lam_b| over a in S, b not in S.  Zero counting is numeric:
+sign changes between consecutive samples of a grid.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +32,8 @@ class SpectralData:
         lam = self.eigenvalues
         if len(lam) < 2:
             raise DegenerateSpectrum("need at least two eigenvalues")
+        if not np.isfinite([*lam, self.min_gap]).all():
+            raise DegenerateSpectrum(f"eigenvalues and their gaps must be finite: {lam}")
         if any(b <= a for a, b in zip(lam, lam[1:])):
             raise DegenerateSpectrum(f"eigenvalues must be strictly increasing: {lam}")
         if abs(sum(lam)) > 1e-9 * max(1.0, max(abs(x) for x in lam)):
@@ -100,32 +107,25 @@ def tau_signal(
     constants of the commuting flows; they scale the eigenvalue weights by
     exp(sum_k c_k lambda^k) and default to generic values.
     """
-    lam = np.asarray(spec.eigenvalues)
+    lam = spec.eigenvalues
     n = len(lam)
     if not 1 <= j <= n - 1:
         raise ValueError(f"tau index {j} out of range 1..{n - 1}")
     if higher_times is None:
         higher_times = default_higher_times(spec)
-    vand = np.vander(lam, increasing=True).T  # row i = lam**i
-    vinv = np.linalg.inv(vand)
-    exponent = np.zeros_like(lam)
-    for k, c in enumerate(higher_times, start=2):
-        exponent = exponent + c * lam**k
-    vinv = vinv * np.exp(exponent)[:, None]
-    if coset == "longest":
-        cols = list(range(n - j, n))
-    elif coset == "identity":
-        cols = list(range(j))
-    else:
+    cols = {"longest": range(n - j, n), "identity": range(j)}.get(coset)
+    if cols is None:
         raise ValueError(f"unknown coset {coset!r}")
-    rows = list(range(j))
-    rates = []
-    coeffs = []
-    for subset in itertools.combinations(range(n), j):
-        left = np.linalg.det(vand[np.ix_(rows, subset)]) if j > 1 else vand[0, subset[0]]
-        right = np.linalg.det(vinv[np.ix_(subset, cols)]) if j > 1 else vinv[subset[0], cols[0]]
-        rates.append(float(lam[list(subset)].sum()))
-        coeffs.append(float(left * right))
+    weight = [math.exp(sum(c * x**k for k, c in enumerate(higher_times, start=2))) for x in lam]
+    rates, coeffs = [], []
+    for inside in itertools.combinations(range(n), j):
+        rest = [b for b in range(n) if b not in inside]
+        coeff = math.prod(weight[a] for a in inside)
+        coeff /= math.prod(abs(lam[a] - lam[b]) for a in inside for b in rest)
+        if coset == "identity":
+            coeff *= math.prod(lam[b] ** j for b in rest)
+        rates.append(float(sum(lam[a] for a in inside)))
+        coeffs.append((-1) ** (sum(inside) + sum(cols)) * coeff)
     scale = max(abs(c) for c in coeffs)
     keep = [(r, c) for r, c in zip(rates, coeffs) if abs(c) > _COEFF_TOL * scale]
     return TauSignal(j, tuple(r for r, _ in keep), tuple(c for _, c in keep))

@@ -141,36 +141,50 @@ def export_graph(graph: IncidenceGraph, fmt: str) -> str:
     raise ValueError(f"unknown export format {fmt!r} (want 'dot' or 'json')")
 
 
+def _fields(obj, keys: tuple[str, ...], where: str) -> list:
+    """obj's values at keys; a ValueError names the first key obj lacks."""
+    for key in keys:
+        if not isinstance(obj, dict) or key not in obj:
+            raise ValueError(f"{where} has no key {key!r}")
+    return [obj[key] for key in keys]
+
+
 def graph_from_json(text: str, group: WeylGroup) -> IncidenceGraph:
     """Rebuild a graph exported with export_graph(..., 'json').  Every element
-    must be listed exactly once, and every edge must be a pair of vertex
+    must be listed exactly once, with the blow-up count and final sign that
+    the walk from eps gives it, and every edge must be a pair of vertex
     positions whose elements form a Bruhat cover, listed once."""
-    payload = json.loads(text)
-    if payload["type"] != str(group.lie_type):
+    lie_type, eps, vertices, edge_list = _fields(
+        json.loads(text), ("type", "eps", "vertices", "edges"), "payload"
+    )
+    if lie_type != str(group.lie_type):
         raise ValueError("type mismatch between payload and group")
-    eps = sign_vector(payload["eps"], group.rank)
-    vertices, n = payload["vertices"], group.order
+    eps, n = sign_vector(eps, group.rank), group.order
     where: dict[int, int] = {}  # element -> its vertex position, in position order
     for k, v in enumerate(vertices):
+        word = _fields(v, ("word", "eta", "sign"), f"vertex {k}")[0]
         try:
-            i = group.word_index(tuple(v["word"]))
+            i = group.word_index(tuple(word))
         except ValueError as e:
             raise ValueError(f"vertex {k}: {e}") from None
         if where.setdefault(i, k) != k:
             raise ValueError(f"vertex {k}: same element as vertex {where[i]}")
     if len(where) != n:
         raise ValueError(f"payload lists {len(where)} of the {n} elements of W({group.lie_type})")
-    counts = tuple(vertices[where[i]]["eta"] for i in range(n))
-    signs = tuple(sign_vector(vertices[where[i]]["sign"], group.rank) for i in range(n))
+    counts, signs = _as_tuples(*chain_walk(group, eps), group.rank)
+    for i, k in where.items():
+        for key, value in (("eta", counts[i]), ("sign", format_signs(signs[i]))):
+            if vertices[k][key] != value:
+                raise ValueError(f"vertex {k}: {key} {vertices[k][key]!r}, expected {value!r}")
 
     seen: dict[tuple[int, int], int] = {}  # edge -> its first position
-    for k, e in enumerate(payload["edges"]):
+    for k, e in enumerate(edge_list):
         pair = isinstance(e, list) and len(e) == 2
         if not pair or not all(type(a) is int and 0 <= a < n for a in e):
             raise ValueError(f"edge {k}: {e!r} is not a pair of vertex positions 0..{n - 1}")
         if seen.setdefault(tuple(e), k) != k:
             raise ValueError(f"edge {k}: same edge as edge {seen[tuple(e)]}")
-    rows = np.array(list(where))[np.array(payload["edges"], np.int64).reshape(-1, 2)]
+    rows = np.array(list(where))[np.array(edge_list, np.int64).reshape(-1, 2)]
     covers = np.ravel_multi_index(group.covers(), (n, n))
     bad = np.flatnonzero(~np.isin(np.ravel_multi_index(rows.T, (n, n)), covers))
     if bad.size:

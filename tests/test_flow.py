@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -9,6 +10,7 @@ from flagcoh.errors import DegenerateSpectrum, WindowTooSmall
 from flagcoh.flow import (
     SpectralData,
     count_zeros,
+    default_higher_times,
     default_window,
     tau_signal,
     total_blowups,
@@ -22,6 +24,10 @@ def test_spectral_data_validation():
         SpectralData((1.0, -1.0))
     with pytest.raises(DegenerateSpectrum):
         SpectralData((-1.0, 2.0))  # nonzero sum
+    # NaN passes every comparison; 1e308 - -1e308 overflows the gap to inf
+    for values in ([math.nan, 1.0, 2.0], [1e308, -1e308], [math.inf, 1.0], [-math.inf, 0.0, 1.0]):
+        with pytest.raises(DegenerateSpectrum):
+            SpectralData.make(values)
     s = SpectralData.make([3.0, 1.0, 2.0])
     assert s.eigenvalues == (-1.0, 0.0, 1.0)
     assert s.rank == 2 and s.min_gap == 1.0
@@ -108,6 +114,55 @@ def test_exact_zero_at_a_sample_counts_once():
 def test_default_window_scales_with_gap():
     s = SpectralData.make([-0.2, 0.0, 0.2])
     assert default_window(s) == pytest.approx(150.0)
+
+
+def _spread_spectrum(rng, rank):
+    while True:
+        lam = sorted(rng.uniform(-3, 3) for _ in range(rank + 1))
+        if min(b - a for a, b in zip(lam, lam[1:])) > 0.3:
+            return SpectralData.make(lam)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_closed_form_equals_the_matrix_minor(rank):
+    # the numeric route: the minor on rows 0..j-1 and the coset's columns of
+    # V diag(w e^{lam t}) V^-1, through a float inverse and determinant.
+    # The two agree to 1e-9 of the terms' scale, max|c| times the sum of
+    # e^{rate t} over all j-subsets, not of |tau|: near a zero of tau the
+    # terms cancel (here by up to 2e8 on either route), and a term whose
+    # coefficient is under 1e-9 of the largest is dropped even when, as on
+    # the identity coset with an eigenvalue of 3e-5, it is no rounding noise.
+    rng = random.Random(40 + rank)
+    for _ in range(4):
+        spec = _spread_spectrum(rng, rank)
+        lam = np.array(spec.eigenvalues)
+        n = len(lam)
+        vand = np.vander(lam, increasing=True).T
+        for times in (None, (0.0,) * (rank - 1)):
+            c = default_higher_times(spec) if times is None else times
+            w = np.exp(sum((ck * lam**k for k, ck in enumerate(c, start=2)), np.zeros(n)))
+            for t in (-1.0, -0.4, 0.3, 1.0):
+                m = vand @ np.diag(w * np.exp(lam * t)) @ np.linalg.inv(vand)
+                for j in range(1, n):
+                    for coset, cols in (("longest", range(n - j, n)), ("identity", range(j))):
+                        want = np.linalg.det(m[:j, list(cols)])
+                        sig = tau_signal(spec, j, coset, times)
+                        rates = map(sum, itertools.combinations(lam.tolist(), j))
+                        scale = max(map(abs, sig.coeffs)) * sum(math.exp(r * t) for r in rates)
+                        assert abs(sig(t) - want) <= 1e-9 * scale, (spec, times, t, j, coset)
+
+
+def test_coefficient_cutoff_drops_only_vanishing_identity_terms():
+    # on the identity coset the term of S carries prod of lam_b^j over b not
+    # in S: 0.0 at an exact zero eigenvalue, and about 1e-18 where recentring
+    # 0.1, 0.2, 0.3 leaves -2.8e-17; the longest coset keeps every term
+    for values, middle in (([-1, 0, 1], 0.0), ([0.1, 0.2, 0.3], -2.7755575615628914e-17)):
+        spec = SpectralData.make(values)
+        assert spec.eigenvalues[1] == middle
+        sig = tau_signal(spec, 1, coset="identity")
+        assert len(sig.coeffs) == 1
+        assert count_zeros(sig, default_window(spec)) == 0
+        assert [len(tau_signal(spec, j).coeffs) for j in (1, 2)] == [3, 3]
 
 
 def test_tau_index_range():

@@ -186,9 +186,26 @@ def _edge_repeated(payload):
     payload["edges"].append(list(payload["edges"][0]))
 
 
+def _vertex_mutant(k, key, value):
+    return lambda payload: payload["vertices"][k].update({key: value})
+
+
+def _key_dropped(key, where=lambda payload: payload):
+    def mutate(payload):
+        del where(payload)[key]
+
+    return mutate
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
+        (_vertex_mutant(2, "eta", "x"), r"vertex 2: eta 'x', expected 1"),
+        (_vertex_mutant(5, "eta", 7), r"vertex 5: eta 7, expected 2"),
+        (_vertex_mutant(3, "sign", "-+"), r"vertex 3: sign '-\+', expected '\+-'"),
+        (_key_dropped("edges"), r"payload has no key 'edges'"),
+        (_key_dropped("eta", lambda payload: payload["vertices"][2]), r"vertex 2 has no key 'eta'"),
+        (lambda payload: [payload], r"payload has no key 'type'"),
         (_edge_mutant([-1, 2]), r"edge 2: \[-1, 2\] is not a pair of vertex positions 0\.\.5"),
         (_edge_mutant([0, 9]), r"edge 2: \[0, 9\] is not a pair of vertex positions 0\.\.5"),
         (_edge_mutant([0]), r"edge 2: \[0\] is not a pair"),
@@ -201,6 +218,7 @@ def _edge_repeated(payload):
 def test_json_rejects_invalid_graphs(mutate, message):
     g = build_graph("A2", "--")
     payload = json.loads(export_graph(g, "json"))
-    mutate(payload)
+    # a mutant edits the payload in place or returns one to replace it
+    text = json.dumps(mutate(payload) or payload)
     with pytest.raises(ValueError, match=message):
-        graph_from_json(json.dumps(payload), g.group)
+        graph_from_json(text, g.group)

@@ -37,3 +37,11 @@ def test_package_imports_only_stdlib_and_numpy():
                 f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] not in allowed
             ]
     assert found == []
+
+
+
+def test_package_uses_no_float_linear_algebra():
+    # the exact engine takes minors and ranks in integers or in closed form;
+    # a bare "linalg" also catches `from numpy import linalg`
+    found = [path.name for path in sorted(SRC.glob("*.py")) if "linalg" in path.read_text()]
+    assert found == []
