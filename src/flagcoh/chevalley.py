@@ -10,6 +10,7 @@ tuple loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .blowup import blowup_poly
 from .cartan import LieType, compact_dual_data
@@ -43,15 +44,14 @@ def order_poly(t) -> OrderPoly:
     return OrderPoly(r=data.r, degrees=data.degrees, reduced=reduced)
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    k = 2
-    while k * k <= p:
-        if p % k == 0:
-            return False
-        k += 1
-    return True
+def prime_base(q: int) -> int | None:
+    """p when q = p^k for a prime p and k >= 1, so that F_q exists; else None."""
+    if q < 2:
+        return None
+    p = next((k for k in range(2, isqrt(q) + 1) if q % k == 0), q)
+    while q % p == 0:
+        q //= p
+    return p if q == 1 else None
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
-        if not _is_prime(self.p) or self.p == 2:
+        if prime_base(self.p) != self.p or self.p == 2:
             raise ValueError(f"p must be an odd prime, got {self.p}")
 
     @property

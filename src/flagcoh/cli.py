@@ -155,8 +155,8 @@ def cmd_chevalley(args, t, eps):
         body["verify"] = chevalley.verify_order(t, chevalley.PrimeField(args.prime))
         return body, body["verify"]["match"]
     if args.prime is not None:
-        if args.prime < 2:
-            raise ValueError(f"--prime must be at least 2, got {args.prime}")
+        if chevalley.prime_base(args.prime) is None:
+            raise ValueError(f"--prime must be a prime power q >= 2, got {args.prime}")
         body["order_at_prime"] = op.order_at(args.prime)
     return body, True
 

@@ -201,13 +201,19 @@ def _propagate(value: np.ndarray, diamonds: np.ndarray) -> np.ndarray:
         diamonds = diamonds[unknown > 1]
 
 
+def _bits(packed: int, n: int) -> np.ndarray:
+    """Bits 0..n-1 of packed as an int8 0/1 array."""
+    raw = np.frombuffer(packed.to_bytes((n + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(np.int8)
+
+
 def _solve_forced(value: np.ndarray, diamonds: np.ndarray) -> tuple[int, list[int]] | None:
     """_solve_gf2's answer for the diamond equations plus the edges value fixes,
     from eliminating only the unknown edges; None if they clash (a known
     diamond that is even joins the system as the equation 0 = 1)."""
     known = value[diamonds]
     keep = (known < 0).any(axis=1) | (known.sum(axis=1) % 2 == 0)
-    free = np.flatnonzero(value < 0).tolist()
+    free = np.flatnonzero(value < 0)
     label = np.where(known < 0, np.searchsorted(free, diamonds), -1)[keep].tolist()
     rhs = (1 - known[keep].clip(0).sum(axis=1) % 2).tolist()
     equations = [(sum(1 << q for q in row if q >= 0), r) for row, r in zip(label, rhs)]
@@ -215,11 +221,12 @@ def _solve_forced(value: np.ndarray, diamonds: np.ndarray) -> tuple[int, list[in
     if solved is None:
         return None
 
-    def expand(vec: int, packed: int = 0) -> int:  # bit q of vec is edge free[q]
-        return packed | sum(1 << p for q, p in enumerate(free) if (vec >> q) & 1)
+    def expand(vec: int, forced: bool = False) -> int:  # bit q of vec is edge free[q]
+        out = (value == 1) if forced else np.zeros(len(value), bool)
+        out[free[_bits(vec, len(free)) == 1]] = True
+        return int.from_bytes(np.packbits(out, bitorder="little").tobytes(), "little")
 
-    forced = int.from_bytes(np.packbits(value == 1, bitorder="little").tobytes(), "little")
-    return expand(solved[0], forced), [expand(vec) for vec in solved[1]]
+    return expand(solved[0], True), [expand(vec) for vec in solved[1]]
 
 
 def _solve_component(
@@ -243,43 +250,43 @@ def _solve_component(
     """
     # layer k's edges by (top, bottom), so each block row, one per top vertex,
     # is a sparse {bottom vertex: +-1} row with its columns ascending
-    pairs = edges.tolist()
+    bottom, top = edges.T.tolist()
     lengths = graph.group.lengths
     layer_edges: dict[int, list[int]] = {}
     for p in np.lexsort((edges[:, 0], edges[:, 1])).tolist():
-        layer_edges.setdefault(lengths[pairs[p][0]], []).append(p)
+        layer_edges.setdefault(lengths[bottom[p]], []).append(p)
 
-    def block(k: int, packed: int):
+    def block(k: int, sign_of: list[int]):
         rows: dict[int, dict[int, int]] = {}
         for p in layer_edges[k]:
-            i, j = pairs[p]
-            rows.setdefault(j, {})[i] = -1 if (packed >> p) & 1 else 1
+            rows.setdefault(top[p], {})[bottom[p]] = sign_of[p]
         return rows.values()
 
-    where = (
-        f"{graph.group.lie_type} eps={format_signs(graph.eps)}, component of "
-        f"{word_label(graph.group.word(int(edges.min())))}"
-    )
+    def where() -> str:
+        first = word_label(graph.group.word(int(edges.min())))
+        return f"{graph.group.lie_type} eps={format_signs(graph.eps)}, component of {first}"
+
     solved = _solve_forced(value, diamonds)
     if solved is None:
-        raise Unsolvable(f"no consistent sign assignment for {where}")
+        raise Unsolvable(f"no consistent sign assignment for {where()}")
     base, kernel = solved
     for combo in range(1 << len(kernel)):
         packed = base
         for a, vec in enumerate(kernel):
             if (combo >> a) & 1:
                 packed ^= vec
+        signs = 1 - 2 * _bits(packed, len(edges))
+        sign_of = signs.tolist()
         diags = {}
         for k in sorted(layer_edges):
             # smith_diagonal lists only the nonzero divisors
-            diags[k] = smith_diagonal(block(k, packed))
+            diags[k] = smith_diagonal(block(k, sign_of))
             if not all(d % 2 for d in diags[k]):
                 break
         else:
-            signs = [-1 if (packed >> p) & 1 else 1 for p in range(len(pairs))]
-            return np.array(signs, np.int8), diags
+            return signs, diags
     raise Unsolvable(
-        f"sign assignment for {where}: none of the 2^{len(kernel)} kernel combinations "
+        f"sign assignment for {where()}: none of the 2^{len(kernel)} kernel combinations "
         f"reaches the mod-2 rank of the C^{k} -> C^{k + 1} block"
     )
 

@@ -17,8 +17,6 @@ import numpy as np
 from .blowup import Signs, _as_tuples, all_minus, chain_walk, format_signs, sign_vector
 from .weyl import WeylGroup, word_label
 
-_FOREST_SLICE = 1 << 21  # rows spanning_forest turns into Python ints at a time
-
 
 @dataclass
 class IncidenceGraph:
@@ -68,27 +66,36 @@ def build_graph(group_or_type, eps) -> IncidenceGraph:
 
 
 def spanning_forest(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scan the (bottom, top) rows in order with one union-find on 0..n-1.
+    """Each vertex's root (the least vertex of its component) and the tree-edge
+    mask: the rows that join two components when scanned in order.
 
-    Returns each vertex's root (the least vertex of its component) and the
-    tree-edge mask: the rows that joined two components when scanned.
+    That scan's tree is Kruskal's forest under weight = row position, unique
+    as the weights are distinct, so Borůvka finds the same rows: each round,
+    every component takes its least incident row, then hooks across it.
     """
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree = bytearray(len(edges))
-    for start in range(0, len(edges), _FOREST_SLICE):
-        for p, (i, j) in enumerate(zip(*edges[start : start + _FOREST_SLICE].T.tolist()), start):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-                tree[p] = 1
-    return np.array([find(v) for v in range(n)], np.int32), np.frombuffer(tree, bool)
+    label, tree = np.arange(n, dtype=np.int32), np.zeros(len(edges), bool)
+    pos, ends = np.arange(len(edges), dtype=np.int32), np.asarray(edges, np.int32).T
+    while pos.size:
+        sides = label[ends]
+        live = sides[0] != sides[1]
+        pos, ends, sides = pos[live], ends[:, live], sides[:, live]
+        best = np.full(n, len(edges), np.int32)
+        for side in sides:
+            np.minimum.at(best, side, pos)
+        comps = np.flatnonzero(best < len(edges))
+        tree[best[comps]] = True
+        # two components that took the same row hook onto each other; the
+        # lesser stays a root, and pointer jumping flattens every hook chain
+        row = np.searchsorted(pos, best[comps])
+        far = np.where(sides[0, row] == comps, sides[1, row], sides[0, row])
+        hook = np.arange(n, dtype=np.int32)
+        hook[comps] = np.where((best[far] == best[comps]) & (comps < far), comps, far)
+        while (hook[hook] != hook).any():
+            hook = hook[hook]
+        label = hook[label]
+    least = np.full(n, n, np.int32)
+    np.minimum.at(least, label, np.arange(n, dtype=np.int32))
+    return least[label], tree
 
 
 def components(graph: IncidenceGraph) -> list[tuple[int, ...]]:

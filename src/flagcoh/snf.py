@@ -5,49 +5,71 @@ blocks of the sign solve and decides whether a Cartan matrix is singular.
 Only the diagonal is needed downstream (ranks and elementary divisors), so
 no transform matrices are tracked.  Rows are kept as {column: entry} dicts,
 the form the sign solve passes; dense rows are read into it.
-The pivot is a ±1 entry when one exists (the first row holding one), and
-otherwise an entry of least absolute value.  Row operations clear the
-pivot's column; column operations, which then touch the pivot row only,
-clear its row.  A pivot that is not a unit is recorded only once no row
-holds an entry it does not divide (it takes such a row in and picks again),
-so each recorded pivot divides all that is left and the divisors come out
-as a chain.
+The pivot is a ±1 entry when one exists (a heap of the changed rows finds
+the first row holding one), and otherwise an entry of least absolute value.
+Row operations clear the pivot's column, in the rows a column -> rows index
+lists; a unit pivot's row then drops out with divisor 1, as column
+operations clear it and touch no other row.  A pivot that is not a unit
+clears its row by column operations and is recorded only once no row holds
+an entry it does not divide (it takes such a row in and picks again), so
+each recorded pivot divides all that is left and the divisors form a chain.
 """
 
 from __future__ import annotations
 
-
-def _add_multiple(row: dict[int, int], pivot_row: dict[int, int], q: int) -> None:
-    """row += q * pivot_row, keeping only nonzero entries."""
-    for j, v in pivot_row.items():
-        x = row.get(j, 0) + q * v
-        if x:
-            row[j] = x
-        else:
-            del row[j]
+from collections import defaultdict
+from heapq import heappop, heappush
 
 
 def smith_diagonal(rows) -> list[int]:
     """Nonzero diagonal of the Smith normal form, divisibility-chained.  Each
-    row is a dense sequence or a {column: entry} dict."""
+    row is a dense sequence or a {column: entry} dict; none is changed."""
     rows = (r.items() if isinstance(r, dict) else enumerate(r) for r in rows)
     a = {i: {j: int(v) for j, v in r if v} for i, r in enumerate(rows)}
     a = {i: r for i, r in a.items() if r}
+    holders: dict[int, set[int]] = defaultdict(set)  # column -> rows that held it
+    for i, row in a.items():
+        for j in row:
+            holders[j].add(i)
+    todo = list(a)  # a heap that holds every row holding a unit
     diag: list[int] = []
+
+    def pivot() -> tuple[int, int]:
+        while todo:
+            i = heappop(todo)
+            for j, v in a.get(i, {}).items():
+                if v in (1, -1):
+                    return i, j
+        return min(((i, j) for i, row in a.items() for j in row), key=lambda ij: abs(a[ij[0]][ij[1]]))
+
     while a:
-        units = ((i, j) for i, row in a.items() for j, v in row.items() if v in (1, -1))
-        r, c = next(units, None) or min(
-            ((i, j) for i, row in a.items() for j in row), key=lambda ij: abs(a[ij[0]][ij[1]])
-        )
+        r, c = pivot()
         prow = a[r]
         p = prow[c]
-        # clear column c; a nonzero remainder is smaller than p, so pick again
-        for i, row in list(a.items()):
-            if i != r and c in row:
-                _add_multiple(row, prow, -(row[c] // p))
-                if not row:
-                    del a[i]
-        if any(c in row for i, row in a.items() if i != r):
+        # clear column c in the rows that hold it; a nonzero remainder is
+        # smaller than p, so pick again
+        left = False
+        for i in holders[c]:
+            row = a.get(i)
+            if i == r or row is None or c not in row:
+                continue
+            q = -(row[c] // p)
+            for j, v in prow.items():
+                x = row.get(j, 0) + q * v
+                if x:
+                    holders[j].add(i)
+                    row[j] = x
+                else:
+                    del row[j]
+            heappush(todo, i)
+            left |= c in row
+            if not row:
+                del a[i]
+        if left:
+            continue
+        if p in (1, -1):
+            diag.append(1)
+            del a[r]
             continue
         # clear row r: column c now lives in row r only
         for j in [j for j in prow if j != c]:
@@ -55,14 +77,16 @@ def smith_diagonal(rows) -> list[int]:
                 prow[j] %= p
             else:
                 del prow[j]
+        heappush(todo, r)  # a remainder left in row r may be a unit
         if len(prow) > 1:
             continue
-        if p not in (1, -1):
-            culprit = next((row for row in a.values() if any(v % p for v in row.values())), None)
-            if culprit is not None:
-                # row r += culprit, reduced by column operations as above
-                prow.update((j, v % p) for j, v in culprit.items() if v % p)
-                continue
+        culprit = next((row for row in a.values() if any(v % p for v in row.values())), None)
+        if culprit is not None:
+            # row r += culprit, reduced by column operations as above
+            prow.update((j, v % p) for j, v in culprit.items() if v % p)
+            for j in prow:
+                holders[j].add(r)
+            continue
         diag.append(abs(p))
         del a[r]
     return diag

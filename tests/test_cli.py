@@ -114,6 +114,19 @@ def test_chevalley_subcommand(capsys):
     assert payload["order_at_prime"] == 5**3 * 4 * 24 * 124
 
 
+def test_chevalley_prime_must_be_a_prime_power(capsys):
+    # F_q exists for q = 4, so the order polynomial is read there too
+    code, payload = run_json(capsys, "chevalley", "--type", "B3", "--prime", "4")
+    assert code == 0 and payload["order_at_prime"] == 4**3 * 3 * 15 * 63
+    for q in ("6", "12", "-3", "0", "1"):  # no field F_q
+        assert main(["chevalley", "--type", "A1", "--prime", q]) == 2
+        err = capsys.readouterr().err
+        assert f"usage error: --prime must be a prime power q >= 2, got {q}" in err
+    # --verify counts points over a prime field, so q = 9 is refused there
+    assert main(["chevalley", "--type", "A2", "--prime", "9", "--verify"]) == 2
+    assert "p must be an odd prime, got 9" in capsys.readouterr().err
+
+
 def test_flow_subcommand(capsys):
     code, payload = run_json(
         capsys, "flow", "--rank", "3", "--spectrum", "-3,-1,1,3", "--window", "auto"

@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from flagcoh import graph
 from flagcoh.blowup import all_minus, all_sign_vectors
 from flagcoh.graph import (
     build_graph,
@@ -57,15 +56,41 @@ def test_component_counts():
     assert len(components(build_graph("B3", "---"))) == 17
 
 
-def test_spanning_forest_is_the_same_in_slices(monkeypatch):
-    # the columns are read a slice at a time; a slice boundary anywhere,
-    # even inside a component, leaves the roots and the tree edges as they are
-    g = build_graph("D4", all_minus(4))
-    root, tree = spanning_forest(g.vertex_count, g.edges)
-    for size in (1, 7, len(g.edges) - 1):
-        monkeypatch.setattr(graph, "_FOREST_SLICE", size)
-        got = spanning_forest(g.vertex_count, g.edges)
-        assert got[0].tolist() == root.tolist() and got[1].tolist() == tree.tolist(), size
+def _sequential_forest(n, edges):
+    """The oracle: one union-find scanning the rows in order."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    tree = []
+    for i, j in edges.tolist():
+        ri, rj = find(i), find(j)
+        tree.append(ri != rj)
+        parent[max(ri, rj)] = min(ri, rj)
+    return [find(v) for v in range(n)], tree
+
+
+def _forest_cases():
+    for name in ["A3", "B3", "C3", "G2", "D4"]:
+        group = enumerate_group(name)
+        for eps in all_sign_vectors(group.rank):
+            yield f"{name} {eps}", group.order, build_graph(group, eps).edges
+    yield "E6 all-minus", 51840, build_graph("E6", all_minus(6)).edges
+    yield "no edges", 5, np.zeros((0, 2), np.int32)
+    # vertices 0, 3 and 7 lie on no edge; the rest form a cycle and a path
+    yield "isolated vertices", 8, np.array([[1, 5], [2, 5], [1, 2], [4, 6], [2, 6]], np.int32)
+
+
+def test_spanning_forest_matches_a_sequential_union_find():
+    # Borůvka must give the scan's roots and tree rows, on either scan order
+    for label, n, edges in _forest_cases():
+        for scan in (edges, edges[::-1]):
+            root, tree = spanning_forest(n, scan)
+            assert (root.tolist(), tree.tolist()) == _sequential_forest(n, scan), label
 
 
 def test_components_partition_vertices():
