@@ -18,7 +18,6 @@ from .cartan import (
     weyl_order,
 )
 from .errors import (
-    BudgetExceeded,
     CapExceeded,
     DegenerateSpectrum,
     DiamondViolation,

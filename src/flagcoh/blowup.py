@@ -183,10 +183,10 @@ def pq_table(t) -> Mapping[Signs, QPoly]:
     )
 
 
-def restricted_blowup_poly(group_or_type, eps=None) -> QPoly:
+def restricted_blowup_poly(group_or_type, eps) -> QPoly:
     """Same alternating sum taken only over the sign-stable elements."""
     group = _coerce_group(group_or_type)
-    eps = all_minus(group.rank) if eps is None else sign_vector(eps, group.rank)
+    eps = sign_vector(eps, group.rank)
     table = blowup_table(group, eps)
     top = group.lengths[-1]
     coeffs: dict[int, int] = {}
@@ -206,13 +206,12 @@ def minus_stable_elements(group_or_type) -> list[WeylElement]:
     return [group.elements[i] for i in np.flatnonzero(codes == _code(eps)).tolist()]
 
 
-def longest_blowups(t, eps=None) -> int:
-    """Blow-up count at the longest element, via the greedy word only.
+def longest_blowups(t) -> int:
+    """All-minus blow-up count at the longest element, via the greedy word
+    only: the degree of p(q).
 
     Works for every type including E8, where full enumeration is off the
-    table; for all-minus this is the degree of p(q).
+    table.
     """
     t = LieType.parse(t)
-    cartan = cartan_matrix(t)
-    eps = all_minus(t.rank) if eps is None else sign_vector(eps, t.rank)
-    return blowup_count(longest_element(t), eps, cartan)
+    return blowup_count(longest_element(t), all_minus(t.rank), cartan_matrix(t))

@@ -162,6 +162,8 @@ def cmd_chevalley(args, t, eps):
 
 
 def cmd_flow(args, t, eps):
+    if args.rank < 1:
+        raise ValueError(f"--rank must be >= 1, got {args.rank}")
     values = [float(x) for x in args.spectrum.split(",")]
     if len(values) != args.rank + 1:
         raise ValueError(f"rank {args.rank} needs {args.rank + 1} eigenvalues")

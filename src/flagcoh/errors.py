@@ -45,10 +45,6 @@ class OddSquaredDegree(FlagcohError):
     """A squared tau-function came out with odd minimal degree."""
 
 
-class BudgetExceeded(FlagcohError):
-    """Point count would exceed the configured tuple budget."""
-
-
 class FieldNotSplit(FlagcohError):
     """x^2 + 1 does not factor over the requested prime field."""
 

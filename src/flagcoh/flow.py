@@ -135,17 +135,15 @@ def default_window(spec: SpectralData) -> float:
     return 30.0 / spec.min_gap
 
 
-def count_zeros(sig: TauSignal, window: float | None = None, samples: int = 4001) -> int:
+def count_zeros(sig: TauSignal, window: float, samples: int = 4001) -> int:
     """Sign changes of the signal between consecutive samples on [-T, T]; a
     sample exactly at zero counts once, with the nonzero sample before it.
 
     The window must reach the asymptotic regime: the sampled endpoint signs
     have to agree with the dominant-exponent coefficients.
     """
-    if window is None:
-        raise ValueError("pass an explicit window or use default_window(spec)")
-    if not window > 0:
-        raise ValueError(f"window must be > 0, got {window}")
+    if not 0 < window < math.inf:
+        raise ValueError(f"window must be finite and > 0, got {window}")
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     vals = sig.values(np.linspace(-window, window, samples))
@@ -159,16 +157,7 @@ def count_zeros(sig: TauSignal, window: float | None = None, samples: int = 4001
     return int(np.count_nonzero((sign[:-1] != 0) & (sign[:-1] != sign[1:])))
 
 
-def total_blowups(
-    spec: SpectralData,
-    window: float | None = None,
-    samples: int = 4001,
-    higher_times=None,
-) -> int:
+def total_blowups(spec: SpectralData) -> int:
     """Zeros summed over all tau_j on the longest-element coset."""
-    if window is None:
-        window = default_window(spec)
-    return sum(
-        count_zeros(tau_signal(spec, j, higher_times=higher_times), window, samples)
-        for j in range(1, spec.rank + 1)
-    )
+    window = default_window(spec)
+    return sum(count_zeros(tau_signal(spec, j), window) for j in range(1, spec.rank + 1))

@@ -14,10 +14,6 @@ class QPoly:
                     self.coeffs[int(e)] = int(c)
 
     @classmethod
-    def zero(cls) -> "QPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "QPoly":
         return cls({0: 1})
 

@@ -11,7 +11,7 @@ from flagcoh.chevalley import (
     sphere_count,
     verify_order,
 )
-from flagcoh.errors import BudgetExceeded, FieldNotSplit
+from flagcoh.errors import FieldNotSplit
 from flagcoh.qpoly import QPoly, divide_exact, factor_q_minus_form, q_power_minus_one
 
 
@@ -136,9 +136,15 @@ def test_higher_sphere_closed_forms():
     assert sphere_count(5, F3) == 252
 
 
-def test_sphere_budget():
-    with pytest.raises(BudgetExceeded):
-        sphere_count(30, PrimeField(5))
+def test_sphere_counts_match_the_split_closed_forms_at_every_n():
+    # S^n lives in n + 1 coordinates: q^(2m-1) - q^(m-1) when n + 1 = 2m,
+    # q^(2m) + q^m when n + 1 = 2m + 1 (p = 1 mod 4, so -1 is a square)
+    for q in (5, 13):
+        field = PrimeField(q)
+        for n in range(1, 16):
+            m, odd = divmod(n + 1, 2)
+            expected = q ** (2 * m) + q**m if odd else q ** (2 * m - 1) - q ** (m - 1)
+            assert sphere_count(n, field) == expected, (n, q)
 
 
 def test_so_orders():
@@ -146,6 +152,8 @@ def test_so_orders():
     assert so_order_bruteforce(3, F5) == 120  # q(q^2-1) at q=5
     assert so_order_bruteforce(2, F13) == 12
     assert so_order_bruteforce(4, F5) == 14400  # q^2 (q^2-1)^2 at q=5
+    with pytest.raises(ValueError):
+        so_order_bruteforce(0, F5)
 
 
 def test_non_split_field_refused():

@@ -163,7 +163,9 @@ def test_usage_errors(capsys):
     assert "usage error:" in capsys.readouterr().err
     assert main(["flow", "--rank", "2", "--spectrum", "1,2"]) == 2  # one eigenvalue short
     assert "usage error:" in capsys.readouterr().err
-    for grid in (["--samples", "0"], ["--samples", "1"], ["--window", "-5"]):
+    assert main(["flow", "--rank", "0", "--spectrum", "1"]) == 2
+    assert "usage error: --rank must be >= 1, got 0" in capsys.readouterr().err
+    for grid in (["--samples", "0"], ["--samples", "1"], ["--window", "-5"], ["--window", "inf"]):
         assert main(["flow", "--rank", "1", "--spectrum", "-1,1", *grid]) == 2
         assert "usage error:" in capsys.readouterr().err
     for prime in ("-3", "0", "1"):  # no group order to print below 2

@@ -95,7 +95,8 @@ def test_unusable_grid_is_a_value_error():
     from flagcoh.flow import TauSignal
 
     sig = TauSignal(1, (1.0, -1.0), (1.0, -1.0))
-    for window, samples in ((5.0, 0), (5.0, 1), (0.0, 11), (-5.0, 11), (float("nan"), 11)):
+    nan, inf = float("nan"), float("inf")
+    for window, samples in ((5.0, 0), (5.0, 1), (0.0, 11), (-5.0, 11), (nan, 11), (inf, 11)):
         with pytest.raises(ValueError):
             count_zeros(sig, window, samples)
     assert count_zeros(sig, 5.0, 2) == 1
