@@ -77,7 +77,7 @@ def cmd_eta(args, t, eps):
             "length": group.lengths[i],
             "eta": table.counts[i],
         }
-        for i in group.canonical_order()
+        for i in group.canonical_order().tolist()
     ]
     return {"values": values, "max": table.max_value}, True
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blowup import Signs, format_signs, sign_vector
+from .blowup import Signs, _coerce_group, format_signs, sign_vector
 from .errors import DiamondViolation, Unsolvable
 from .graph import IncidenceGraph, build_graph, spanning_forest
 from .snf import smith_diagonal
@@ -140,8 +140,8 @@ def _solve_gf2(equations, nvars: int) -> tuple[int, list[int]] | None:
 def assign_signs(graph: IncidenceGraph, gauge: str = "forward") -> ChainComplex:
     """Pick +-2 per edge so the differential squares to zero, then verify.
 
-    gauge picks the spanning-forest orientation ("forward" or "reverse"
-    canonical edge order); any valid gauge must yield the same cohomology.
+    gauge picks the spanning-forest orientation ("forward" or "reverse" cover
+    order); any valid gauge must yield the same cohomology.
     Each graph component is solved on its own (see _solve_component).
     """
     edges = graph.edges
@@ -307,8 +307,6 @@ def _verify_square_zero(graph: IncidenceGraph, paths, signs) -> None:
 
 
 def complex_for(group_or_type, eps, gauge: str = "forward") -> ChainComplex:
-    from .blowup import _coerce_group
-
     group = _coerce_group(group_or_type)
     return assign_signs(build_graph(group, sign_vector(eps, group.rank)), gauge)
 
@@ -338,7 +336,5 @@ def rational_betti(group_or_type, eps) -> tuple[int, ...]:
 def mod2_dims(group_or_type) -> tuple[int, ...]:
     """GF(2) dimensions: all differentials vanish mod 2, so these are the
     length-distribution counts."""
-    from .blowup import _coerce_group
-
     group = _coerce_group(group_or_type)
     return tuple(group.length_distribution())

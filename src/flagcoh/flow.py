@@ -142,8 +142,8 @@ def count_zeros(sig: TauSignal, window: float, samples: int = 4001) -> int:
     The window must reach the asymptotic regime: the sampled endpoint signs
     have to agree with the dominant-exponent coefficients.
     """
-    if not 0 < window < math.inf:
-        raise ValueError(f"window must be finite and > 0, got {window}")
+    if not (window > 0 and math.isfinite(2 * window * max([1, *map(abs, sig.rates)]))):
+        raise ValueError(f"window must be > 0 and keep 2 T max(1, |rate|) finite, got T={window}")
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     vals = sig.values(np.linspace(-window, window, samples))

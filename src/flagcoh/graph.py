@@ -3,8 +3,9 @@
 An edge w1 => w2 requires all four conditions: Bruhat cover, length step
 one, equal blow-up count, equal accumulated sign vector.  Connectivity is
 taken on the underlying undirected graph.  The edges are one (m, 2) int32
-array of (bottom, top) rows, sorted once by the canonical ranks of their
-ends: the export, the spanning-forest gauge and the sign solve read it as is.
+array of (bottom, top) element-index rows, a mask over the covers in their
+stored (bottom, top) order: the spanning-forest gauge and the sign solve
+read that order as is, and only the export sorts by canonical rank.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blowup import Signs, _as_tuples, all_minus, chain_walk, format_signs, sign_vector
+from .blowup import Signs, _as_tuples, _coerce_group, all_minus, chain_walk, format_signs, sign_vector
 from .weyl import WeylGroup, word_label
 
 
@@ -24,7 +25,7 @@ class IncidenceGraph:
     eps: Signs
     counts: tuple[int, ...]
     final_signs: tuple[Signs, ...]
-    edges: np.ndarray  # (m, 2) int32 (bottom, top) rows in canonical order
+    edges: np.ndarray  # (m, 2) int32 (bottom, top) rows in cover order
     # cover pairs where conditions a), b), d) held but c) failed, likewise
     cond_c_failures: np.ndarray
 
@@ -37,32 +38,17 @@ class IncidenceGraph:
         return [(word(i), word(j)) for i, j in self.edges.tolist()]
 
 
-def _canonical_rows(group: WeylGroup, bottom: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """(bottom, top) rows sorted by the canonical ranks of (bottom, top)."""
-    rank = group.canonical_rank()
-    rows = np.stack((bottom, top), axis=1).astype(np.int32, copy=False)
-    return rows[np.lexsort((rank[top], rank[bottom]))]
-
-
 def build_graph(group_or_type, eps) -> IncidenceGraph:
     """Edges and condition-c failures picked from the stored covers by masks
     over every element's blow-up count and final sign code."""
-    from .blowup import _coerce_group
-
     group = _coerce_group(group_or_type)
     eps = sign_vector(eps, group.rank)
     counts, codes = chain_walk(group, eps)
     bottom, top = group.covers()
     same = codes[bottom] == codes[top]
     flat = counts[bottom] == counts[top]
-
-    def rows(mask):
-        return _canonical_rows(group, bottom[mask], top[mask])
-
-    return IncidenceGraph(
-        group, eps, *_as_tuples(counts, codes, group.rank),
-        rows(same & flat), rows(same & ~flat),
-    )
+    rows = [np.stack((bottom[m], top[m]), 1) for m in (same & flat, same & ~flat)]
+    return IncidenceGraph(group, eps, *_as_tuples(counts, codes, group.rank), *rows)
 
 
 def spanning_forest(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,8 +104,9 @@ def negative_components(graph: IncidenceGraph) -> int:
 def export_graph(graph: IncidenceGraph, fmt: str) -> str:
     """Serialize as 'dot' or 'json'; vertex order is (length, matrix key)."""
     order = graph.group.canonical_order()
-    word, lengths = graph.group.word, graph.group.lengths
-    edges = graph.group.canonical_rank()[graph.edges].tolist()
+    edges = np.argsort(order)[graph.edges]
+    edges = edges[np.lexsort(edges.T[::-1])].tolist()
+    order, word, lengths = order.tolist(), graph.group.word, graph.group.lengths
     if fmt == "dot":
         lines = ["digraph incidence {"]
         for k, v in enumerate(order):
@@ -197,5 +184,5 @@ def graph_from_json(text: str, group: WeylGroup) -> IncidenceGraph:
     if bad.size:
         a, b = (word_label(group.word(i)) for i in rows[bad[0]].tolist())
         raise ValueError(f"edge {bad[0]}: {a} -> {b} is not a Bruhat cover")
-    edges = _canonical_rows(group, rows[:, 0], rows[:, 1])
+    edges = rows[np.lexsort(rows.T[::-1])].astype(np.int32)
     return IncidenceGraph(group, eps, counts, signs, edges, edges[:0])

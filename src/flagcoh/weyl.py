@@ -18,8 +18,9 @@ element order, lengths and stored reduced words are deterministic across
 runs.  A reduced word reaches its index by a walk from e through the left
 permutations, and the Bruhat covers are stored once, as two index arrays.
 The integer matrices of the action on the simple-root basis only fix the
-output order (canonical_order) and back the matrix-keyed `index`; they and
-the WeylElements are built only when read.
+output order (canonical_order, applied by the graph export and the eta
+table alone; every other stage runs in index order) and back the
+matrix-keyed `index`; they and the WeylElements are built only when read.
 """
 
 from __future__ import annotations
@@ -342,17 +343,8 @@ class WeylGroup:
             self._matrices = mats
         return self._matrices
 
-    def canonical_order(self) -> list[int]:
+    def canonical_order(self) -> np.ndarray:
         """Element indices by (length, matrix key): the order of all output."""
-        return self._canonical_order().tolist()
-
-    def canonical_rank(self) -> np.ndarray:
-        """Each element's position in canonical_order(), as an int32 array."""
-        rank = np.empty(self.order, np.int32)
-        rank[self._canonical_order()] = np.arange(self.order, dtype=np.int32)
-        return rank
-
-    def _canonical_order(self) -> np.ndarray:
         if self._canonical is None:
             flat = self.matrices().reshape(self.order, -1)
             keys = [flat[:, c] for c in reversed(range(flat.shape[1]))] + [self._lengths]

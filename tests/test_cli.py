@@ -168,6 +168,8 @@ def test_usage_errors(capsys):
     for grid in (["--samples", "0"], ["--samples", "1"], ["--window", "-5"], ["--window", "inf"]):
         assert main(["flow", "--rank", "1", "--spectrum", "-1,1", *grid]) == 2
         assert "usage error:" in capsys.readouterr().err
+    assert main(["flow", "--rank", "1", "--spectrum", "-1,1", "--window", "1e308"]) == 2
+    assert "usage error: window must be > 0" in capsys.readouterr().err
     for prime in ("-3", "0", "1"):  # no group order to print below 2
         assert main(["chevalley", "--type", "A2", "--prime", prime]) == 2
         assert "usage error:" in capsys.readouterr().err

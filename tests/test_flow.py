@@ -99,6 +99,11 @@ def test_unusable_grid_is_a_value_error():
     for window, samples in ((5.0, 0), (5.0, 1), (0.0, 11), (-5.0, 11), (nan, 11), (inf, 11)):
         with pytest.raises(ValueError):
             count_zeros(sig, window, samples)
+    # finite, but the grid's span 2 T overflows; so does T |rate| at rate 1e10
+    for window, rates in ((1e308, (1.0, -1.0)), (1e300, (1e10, -1.0))):
+        with pytest.raises(ValueError):
+            count_zeros(TauSignal(1, rates, (1.0, -1.0)), window)
+    assert count_zeros(sig, 1e305) == 1
     assert count_zeros(sig, 5.0, 2) == 1
 
 

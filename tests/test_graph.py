@@ -56,6 +56,29 @@ def test_component_counts():
     assert len(components(build_graph("B3", "---"))) == 17
 
 
+def test_pipeline_runs_in_cover_order_without_matrices(monkeypatch):
+    from flagcoh.blowup import chain_walk
+    from flagcoh.cohomology import assign_signs
+    from flagcoh.weyl import WeylGroup
+
+    def refuse(self):
+        raise RuntimeError("only the writers read the matrices or the canonical order")
+
+    monkeypatch.setattr(WeylGroup, "matrices", refuse)
+    monkeypatch.setattr(WeylGroup, "canonical_order", refuse)
+    group = enumerate_group("D4")
+    bottom, top = group.covers()
+    for eps in all_sign_vectors(group.rank):
+        g = build_graph(group, eps)
+        counts, codes = chain_walk(group, eps)
+        same, flat = codes[bottom] == codes[top], counts[bottom] == counts[top]
+        assert np.array_equal(g.edges, np.stack((bottom, top), 1)[same & flat])
+        assert np.array_equal(g.cond_c_failures, np.stack((bottom, top), 1)[same & ~flat])
+        assert len(components(g)) == len(set(_sequential_forest(group.order, g.edges)[0]))
+        for gauge in ("forward", "reverse"):
+            assert len(assign_signs(g, gauge).signs) == len(g.edges)
+
+
 def _sequential_forest(n, edges):
     """The oracle: one union-find scanning the rows in order."""
     parent = list(range(n))

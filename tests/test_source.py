@@ -45,3 +45,17 @@ def test_package_uses_no_float_linear_algebra():
     # a bare "linalg" also catches `from numpy import linalg`
     found = [path.name for path in sorted(SRC.glob("*.py")) if "linalg" in path.read_text()]
     assert found == []
+
+
+def test_package_imports_its_own_modules_at_module_level():
+    # a relative import inside a function hides the module graph (and any
+    # cycle in it) until that function first runs
+    found = {
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    }
+    assert found == set()

@@ -91,3 +91,21 @@ def test_mod2_dims_is_checked_against_the_height_product(monkeypatch):
     assert by_name(run_checks("B3"))["mod2-dims"].status == "pass"
     monkeypatch.setattr(cohomology, "mod2_dims", lambda group: (1,) * 10)
     assert by_name(run_checks("B3"))["mod2-dims"].status == "fail"
+
+
+def test_checks_after_a_cohomology_failure_still_run(monkeypatch):
+    from flagcoh import cohomology
+    from flagcoh.errors import Unsolvable
+
+    def unsolvable(graph):
+        raise Unsolvable("no signs")
+
+    monkeypatch.setattr(cohomology, "assign_signs", unsolvable)
+    named = by_name(run_checks("A3"))
+    assert (named["cohomology"].status, named["cohomology"].detail) == ("fail", "no signs")
+    for name in ("rational-betti", "total-betti", "torsion-exponent-two"):
+        assert name not in named
+    for name in ("mod2-dims", "tau-multiplicity", "chevalley-order"):
+        assert named[name].status == "pass", (name, named[name].detail)
+    names = [r.name for r in run_checks("A3")]
+    assert names[names.index("cohomology") + 1 :] == ["mod2-dims", "tau-multiplicity", "chevalley-order"]
