@@ -9,10 +9,12 @@ fixes every sign these force; GF(2) elimination sees only the edges left
 unknown.  The signs are an int8 array beside the edge array.
 
 The differential only has entries on graph edges, so the complex is
-block-diagonal over the graph's connected components; it is solved and
-reduced one component at a time, and one join of the edge array on its
-middle vertex finds the diamonds of every parity equation and of the
-d o d = 0 check.  Within a component, signs are accepted when every
+block-diagonal over the graph's connected components, and one join of the
+edge array on its middle vertex finds the diamonds of every parity
+equation and of the d o d = 0 check.  A component none of whose signs
+propagation left unknown is settled: its signs are read off, and all
+settled components share one Smith form per length layer.  Every other
+component is solved and reduced on its own.  Signs are accepted when every
 nonzero Smith divisor of each +-1 layer block is odd, as the exponent-2
 torsion of the cell structure demands; since B = U D V with U, V
 unimodular, hence invertible mod 2, this says rank_Q B = rank_GF2 B.  An
@@ -142,7 +144,9 @@ def assign_signs(graph: IncidenceGraph, gauge: str = "forward") -> ChainComplex:
 
     gauge picks the spanning-forest orientation ("forward" or "reverse" cover
     order); any valid gauge must yield the same cohomology.
-    Each graph component is solved on its own (see _solve_component).
+    Components that propagation settled share one Smith form per layer (see
+    _settled_smith); every other component is solved on its own (see
+    _solve_component), and so is every component when a settled one fails.
     """
     edges = graph.edges
     scan = np.arange(len(edges))
@@ -168,9 +172,17 @@ def assign_signs(graph: IncidenceGraph, gauge: str = "forward") -> ChainComplex:
     diamond_cuts = np.searchsorted(comp[diamonds[:, 0]], comp[heads]).tolist() + [len(diamonds)]
 
     value = _propagate(np.where(tree, 0, -1).astype(np.int8), diamonds)
+    # a component is settled when propagation fixed all its signs
+    settled = np.add.reduceat(value < 0, edge_cuts[:-1]) == 0
+    at = np.repeat(settled, np.diff(edge_cuts))
     signs = np.empty(len(edges), np.int8)
-    smith: list[list[int]] = [[] for _ in graph.group.length_distribution()[1:]]
-    for a, b, lo, hi in zip(edge_cuts, edge_cuts[1:], diamond_cuts, diamond_cuts[1:]):
+    signs[scan[at]] = 1 - 2 * value[at]
+    diamond_values = value[diamonds[np.repeat(settled, np.diff(diamond_cuts))]]
+    smith = _settled_smith(graph, edges[scan[at]], signs[scan[at]], diamond_values)
+    if smith is None:  # one by one: a failure names its component
+        settled[:], smith = False, [[] for _ in graph.group.length_distribution()[1:]]
+    for c in np.flatnonzero(~settled).tolist():
+        a, b, lo, hi = edge_cuts[c], edge_cuts[c + 1], diamond_cuts[c], diamond_cuts[c + 1]
         signs[scan[a:b]], diags = _solve_component(
             graph, edges[scan[a:b]], value[a:b], diamonds[lo:hi] - a
         )
@@ -199,6 +211,35 @@ def _propagate(value: np.ndarray, diamonds: np.ndarray) -> np.ndarray:
         forced = diamonds[one, (known[one] < 0).argmax(axis=1)]
         value[forced] = 1 - known[one].clip(0).sum(axis=1) % 2
         diamonds = diamonds[unknown > 1]
+
+
+def _block(edges: np.ndarray, signs: np.ndarray):
+    """The sparse +-1 rows of a layer block: one {bottom vertex: sign} per top
+    vertex, tops and columns ascending, over the given edges of one layer."""
+    rows: dict[int, dict[int, int]] = {}
+    order = np.lexsort((edges[:, 0], edges[:, 1]))
+    for (bottom, top), sign in zip(edges[order].tolist(), signs[order].tolist()):
+        rows.setdefault(top, {})[bottom] = sign
+    return rows.values()
+
+
+def _settled_smith(graph: IncidenceGraph, edges, signs, diamond_values) -> list[list[int]] | None:
+    """Each layer's doubled Smith divisors over the settled components' edges,
+    from one Smith form of the layer: it is block-diagonal over components,
+    and its divisors are all 1 exactly when each block's are.  None when a
+    diamond is even or a divisor is not 1: only the per-component solve can
+    then name the failing component, or keep each block's own divisors."""
+    if (diamond_values.sum(axis=1) % 2 == 0).any():
+        return None
+    layer = graph.group._lengths[edges[:, 0]]
+    smith = []
+    for k in range(len(graph.group.length_distribution()) - 1):
+        mask = layer == k
+        diag = smith_diagonal(_block(edges[mask], signs[mask]))
+        if any(d != 1 for d in diag):
+            return None
+        smith.append([2] * len(diag))
+    return smith
 
 
 def _bits(packed: int, n: int) -> np.ndarray:
@@ -248,19 +289,8 @@ def _solve_component(
     All 2^k combinations of the GF(2) kernel are tried, so Unsolvable means
     no valid signs exist for this component.
     """
-    # layer k's edges by (top, bottom), so each block row, one per top vertex,
-    # is a sparse {bottom vertex: +-1} row with its columns ascending
-    bottom, top = edges.T.tolist()
-    lengths = graph.group.lengths
-    layer_edges: dict[int, list[int]] = {}
-    for p in np.lexsort((edges[:, 0], edges[:, 1])).tolist():
-        layer_edges.setdefault(lengths[bottom[p]], []).append(p)
-
-    def block(k: int, sign_of: list[int]):
-        rows: dict[int, dict[int, int]] = {}
-        for p in layer_edges[k]:
-            rows.setdefault(top[p], {})[bottom[p]] = sign_of[p]
-        return rows.values()
+    layer = graph.group._lengths[edges[:, 0]]
+    layers = [(k, layer == k) for k in np.flatnonzero(np.bincount(layer)).tolist()]
 
     def where() -> str:
         first = word_label(graph.group.word(int(edges.min())))
@@ -276,11 +306,10 @@ def _solve_component(
             if (combo >> a) & 1:
                 packed ^= vec
         signs = 1 - 2 * _bits(packed, len(edges))
-        sign_of = signs.tolist()
         diags = {}
-        for k in sorted(layer_edges):
+        for k, mask in layers:
             # smith_diagonal lists only the nonzero divisors
-            diags[k] = smith_diagonal(block(k, sign_of))
+            diags[k] = smith_diagonal(_block(edges[mask], signs[mask]))
             if not all(d % 2 for d in diags[k]):
                 break
         else:

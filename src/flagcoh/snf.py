@@ -5,8 +5,10 @@ blocks of the sign solve and decides whether a Cartan matrix is singular.
 Only the diagonal is needed downstream (ranks and elementary divisors), so
 no transform matrices are tracked.  Rows are kept as {column: entry} dicts,
 the form the sign solve passes; dense rows are read into it.
-The pivot is a ±1 entry when one exists (a heap of the changed rows finds
-the first row holding one), and otherwise an entry of least absolute value.
+The pivot is a ±1 entry when one exists: in the first row holding one (a
+heap of the changed rows finds it), the unit whose column the fewest rows
+have held, against fill-in (Markowitz, Management Science 3, 1957);
+otherwise it is an entry of least absolute value.
 Row operations clear the pivot's column, in the rows a column -> rows index
 lists; a unit pivot's row then drops out with divisor 1, as column
 operations clear it and touch no other row.  A pivot that is not a unit
@@ -37,9 +39,12 @@ def smith_diagonal(rows) -> list[int]:
     def pivot() -> tuple[int, int]:
         while todo:
             i = heappop(todo)
+            best = None  # the unit whose column the fewest rows held
             for j, v in a.get(i, {}).items():
-                if v in (1, -1):
-                    return i, j
+                if v in (1, -1) and (best is None or len(holders[j]) < len(holders[best])):
+                    best = j
+            if best is not None:
+                return i, best
         return min(((i, j) for i, row in a.items() for j in row), key=lambda ij: abs(a[ij[0]][ij[1]]))
 
     while a:

@@ -295,3 +295,66 @@ def test_conflicting_forced_edge_is_unsolvable():
     message = "no consistent sign assignment for A3 eps=+++, component of e"
     with pytest.raises(Unsolvable, match=re.escape(message)):
         cohomology._solve_component(g, g.edges[:7], value, diamonds)
+
+
+def test_settled_components_take_one_smith_form_per_layer(monkeypatch):
+    # propagation fixes every sign of A5 -+-+-, so the sign solve reduces each
+    # of its 15 layers once for all components (one form per component
+    # block would be 202)
+    calls = []
+    monkeypatch.setattr(
+        cohomology, "smith_diagonal", lambda rows: calls.append(1) or smith_diagonal(rows)
+    )
+    cc = complex_for("A5", "-+-+-")
+    assert 0 < len(calls) <= cc.top_degree == 15
+
+
+def _solved_by_component(g):
+    """The sign solve run through _solve_component on every component, as
+    assign_signs orders them: (signs in edge order, pooled doubled diagonals,
+    count of components left with unknown edges, count of components)."""
+    root, tree = spanning_forest(g.vertex_count, g.edges)
+    by_comp = np.argsort(root[g.edges[:, 0]], kind="stable")
+    edges, comp = g.edges[by_comp], root[g.edges[by_comp, 0]]
+    diamonds = cohomology._diamonds(edges)[0].reshape(-1, 4)
+    value = cohomology._propagate(np.where(tree[by_comp], 0, -1).astype(np.int8), diamonds)
+    signs = np.empty(len(edges), np.int8)
+    smith = [[] for _ in g.group.length_distribution()[1:]]
+    roots = np.flatnonzero(np.bincount(comp))
+    for r in roots.tolist():
+        mine = np.flatnonzero(comp == r)
+        local = diamonds[comp[diamonds[:, 0]] == r] - mine[0]
+        signs[by_comp[mine]], diags = cohomology._solve_component(g, edges[mine], value[mine], local)
+        for k, diag in diags.items():
+            smith[k] += [2 * d for d in diag]
+    unknown = sum(bool((value[comp == r] < 0).any()) for r in roots.tolist())
+    return signs, tuple(tuple(sorted(s)) for s in smith), unknown, len(roots)
+
+
+def test_pooled_smith_forms_match_the_per_component_solve():
+    for name, eps in [("B4", "----"), ("D5", "-----")]:
+        g = build_graph(name, eps)
+        signs, smith, unknown, count = _solved_by_component(g)
+        assert 0 < unknown < count, (name, unknown, count)  # open and settled both
+        cc = assign_signs(g)
+        assert cc.smith == smith, name
+        assert cc.signs.tobytes() == signs.tobytes(), name
+
+
+def test_settled_component_failure_names_that_component(monkeypatch):
+    # flip the last forced sign of A3 ---, where propagation settles every
+    # component: the parity test over the settled diamonds fails, and the
+    # per-component solve names the component that holds the flipped edge
+    propagate = cohomology._propagate
+
+    def flip_last_forced(value, diamonds):
+        forced = np.flatnonzero(value < 0)
+        value = propagate(value, diamonds)
+        assert (value >= 0).all()
+        value[forced[-1]] ^= 1
+        return value
+
+    monkeypatch.setattr(cohomology, "_propagate", flip_last_forced)
+    message = "no consistent sign assignment for A3 eps=---, component of 132"
+    with pytest.raises(Unsolvable, match=re.escape(message) + "$"):
+        assign_signs(build_graph("A3", "---"))
