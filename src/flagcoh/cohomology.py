@@ -86,20 +86,29 @@ class CohomologyGroups:
 def _diamonds(edges: np.ndarray):
     """Every path of two of the given edges, as rows (p, q) of edge positions
     with top of p = bottom of q, sorted by interval (bottom of p, top of q);
-    and the sorted intervals whose count of such paths is not 2."""
+    and the sorted intervals whose count of such paths is not 2.  One stable
+    sort on the key bottom * span + top orders the paths, and the runs of
+    equal keys are the intervals."""
     by_bottom = np.argsort(edges[:, 0], kind="stable")
     bottoms = edges[by_bottom, 0]
     lo = np.searchsorted(bottoms, edges[:, 1])
     sizes = np.searchsorted(bottoms, edges[:, 1], side="right") - lo
     first = np.repeat(np.arange(len(edges)), sizes)
     second = by_bottom[np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())]
-    order = np.lexsort((edges[second, 1], edges[first, 0]))
-    paths = np.stack((first[order], second[order]), axis=1)
-    bottom, top = edges[paths[:, 0], 0], edges[paths[:, 1], 1]
-    # runs of equal (bottom, top) are the intervals; a run not of length 2 is bad
-    heads = np.flatnonzero(np.diff(bottom, prepend=-1) | np.diff(top, prepend=-1))
-    bad = heads[np.diff(heads, append=len(paths)) != 2]
-    return paths, tuple(zip(bottom[bad].tolist(), top[bad].tolist()))
+    span = int(edges.max(initial=0)) + 1
+    key = edges[first, 0].astype(np.int64, copy=False)
+    key *= span
+    key += edges[second, 1]
+    order = np.argsort(key, kind="stable")
+    key = key[order]  # each gather rebinds its name, freeing the unsorted array
+    first, second = first[order], second[order]
+    paths = np.stack((first, second), axis=1)
+    # head marks where a run of equal keys (an interval) starts, and two past
+    # the end; a run is bad unless its second key is no head but its third is
+    head = np.concatenate((key[:1] >= 0, key[1:] != key[:-1], [True, True]))
+    bad = np.flatnonzero(head[:-2] & (head[1:-1] | ~head[2:]))
+    bottom, top = divmod(key[bad], span)
+    return paths, tuple(zip(bottom.tolist(), top.tolist()))
 
 
 def diamond_check(graph: IncidenceGraph) -> tuple[tuple[int, int], ...]:
@@ -201,15 +210,20 @@ def assign_signs(graph: IncidenceGraph, gauge: str = "forward") -> ChainComplex:
 
 def _propagate(value: np.ndarray, diamonds: np.ndarray) -> np.ndarray:
     """Each round, every diamond with one unknown edge makes itself odd (in place
-    on value: 0 is +, 1 is -, -1 unknown); it stops when no such diamond is left."""
+    on value: 0 is +, 1 is -, -1 unknown); it stops when no such diamond is left.
+    A diamond's four values are one little-endian word, whose byte sums take one
+    multiply: each unknown 0xff byte adds 1 to the count of high bits and to the
+    sum of low bits, whose parity is then the forced value."""
     while True:
-        known = value[diamonds]
-        unknown = (known < 0).sum(axis=1)
-        one = unknown == 1
-        if not one.any():
+        word = value[diamonds].view("<u4").ravel()
+        high = (word >> 7) & 0x01010101
+        unknown = (high * 0x01010101) >> 24
+        one = np.flatnonzero(unknown == 1)
+        if not one.size:
             return value
-        forced = diamonds[one, (known[one] < 0).argmax(axis=1)]
-        value[forced] = 1 - known[one].clip(0).sum(axis=1) % 2
+        # the one high bit, in byte i, times 0x00010203 puts i in the top byte
+        forced = diamonds[one, (high[one] * 0x00010203) >> 24]
+        value[forced] = ((word[one] & 0x01010101) * 0x01010101 >> 24) & 1
         diamonds = diamonds[unknown > 1]
 
 

@@ -358,3 +358,85 @@ def test_settled_component_failure_names_that_component(monkeypatch):
     message = "no consistent sign assignment for A3 eps=---, component of 132"
     with pytest.raises(Unsolvable, match=re.escape(message) + "$"):
         assign_signs(build_graph("A3", "---"))
+
+
+def _diamonds_by_lexsort(edges):
+    """The paths and bad intervals of _diamonds, ordered by a two-key lexsort
+    and read through the bottom and top of each path (the reference)."""
+    by_bottom = np.argsort(edges[:, 0], kind="stable")
+    bottoms = edges[by_bottom, 0]
+    lo = np.searchsorted(bottoms, edges[:, 1])
+    sizes = np.searchsorted(bottoms, edges[:, 1], side="right") - lo
+    first = np.repeat(np.arange(len(edges)), sizes)
+    second = by_bottom[np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())]
+    order = np.lexsort((edges[second, 1], edges[first, 0]))
+    paths = np.stack((first[order], second[order]), axis=1)
+    bottom, top = edges[paths[:, 0], 0], edges[paths[:, 1], 1]
+    heads = np.flatnonzero(np.diff(bottom, prepend=-1) | np.diff(top, prepend=-1))
+    bad = heads[np.diff(heads, append=len(paths)) != 2]
+    return paths, tuple(zip(bottom[bad].tolist(), top[bad].tolist()))
+
+
+def _planted_edges(rng):
+    """Random edges between four layers of eight vertices, plus an interval
+    32 -> 34 with one path and an interval 35 -> 39 with three, rows shuffled."""
+    layer = np.arange(32).reshape(4, 8).tolist()
+    rows = [(b, t) for k in range(3) for b in layer[k] for t in layer[k + 1] if rng.random() < 0.3]
+    rows += [(32, 33), (33, 34)]
+    rows += [(35, m) for m in (36, 37, 38)] + [(m, 39) for m in (36, 37, 38)]
+    return np.array(rows, np.int32)[rng.permutation(len(rows))]
+
+
+def test_diamonds_match_the_lexsort_reference():
+    rng = np.random.default_rng(21)
+    planted = [_planted_edges(rng) for _ in range(20)]
+    shuffled = [
+        edges[rng.permutation(len(edges))]
+        for edges in (build_graph("B4", "----").edges, build_graph("D5", "+++++").edges)
+    ]
+    for edges in planted + shuffled + [np.zeros((0, 2), np.int32)]:
+        paths, bad = cohomology._diamonds(edges)
+        want_paths, want_bad = _diamonds_by_lexsort(edges)
+        assert paths.dtype == want_paths.dtype and paths.shape == want_paths.shape
+        assert paths.tobytes() == want_paths.tobytes()
+        assert bad == want_bad
+    for edges in planted:
+        assert {(32, 34), (35, 39)} <= set(cohomology._diamonds(edges)[1])
+    assert all(cohomology._diamonds(edges)[1] == () for edges in shuffled)
+
+
+def _propagate_by_rows(value, diamonds):
+    """_propagate with each diamond's unknowns and forced value found by
+    reductions over its row of four values (the reference)."""
+    while True:
+        known = value[diamonds]
+        unknown = (known < 0).sum(axis=1)
+        one = unknown == 1
+        if not one.any():
+            return value
+        forced = diamonds[one, (known[one] < 0).argmax(axis=1)]
+        value[forced] = 1 - known[one].clip(0).sum(axis=1) % 2
+        diamonds = diamonds[unknown > 1]
+
+
+def test_propagate_matches_the_per_row_reference():
+    rng = np.random.default_rng(21)
+    signs = np.array([-1, -1, 0, 1], np.int8)
+    cases = []
+    for _ in range(300):
+        n = int(rng.integers(4, 40))
+        rows = [rng.permutation(n)[:4] for _ in range(int(rng.integers(1, 3 * n)))]
+        cases.append((rng.choice(signs, n), np.array(rows)))
+    cases.append((rng.choice(signs, 12), np.zeros((0, 4), np.int64)))  # no diamonds
+    known = np.array([rng.permutation(12)[:4] for _ in range(20)])
+    cases.append((rng.integers(0, 2, 12).astype(np.int8), known))  # all edges known
+    t0, t1, t2, t3, a, a2, b = range(7)  # the clash of test_conflicting_forced_edge_is_unsolvable
+    clash = np.array([[t0, t1, t2, a], [t0, t1, t3, a2], [t0, t1, a, b], [t0, a, a2, b]])
+    cases.append((np.array([0, 0, 0, 0, -1, -1, -1], np.int8), clash))
+    g = build_graph("B4", "----")
+    tree = spanning_forest(g.vertex_count, g.edges)[1]
+    cases.append((np.where(tree, 0, -1).astype(np.int8), cohomology._diamonds(g.edges)[0].reshape(-1, 4)))
+    for value, diamonds in cases:
+        got = cohomology._propagate(value.copy(), diamonds)
+        assert got.tobytes() == _propagate_by_rows(value.copy(), diamonds).tobytes()
+    assert 0 < (got < 0).sum() < (cases[-1][0] < 0).sum()  # B4 ---- keeps some unknown
