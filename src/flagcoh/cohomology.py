@@ -11,16 +11,19 @@ unknown.  The signs are an int8 array beside the edge array.
 The differential only has entries on graph edges, so the complex is
 block-diagonal over the graph's connected components, and one join of the
 edge array on its middle vertex finds the diamonds of every parity
-equation and of the d o d = 0 check.  A component none of whose signs
-propagation left unknown is settled: its signs are read off, and all
-settled components share one Smith form per length layer.  Every other
-component is solved and reduced on its own.  Signs are accepted when every
-nonzero Smith divisor of each +-1 layer block is odd, as the exponent-2
-torsion of the cell structure demands; since B = U D V with U, V
-unimodular, hence invertible mod 2, this says rank_Q B = rank_GF2 B.  An
-exhaustive search over the component's GF(2) solution space makes
-Unsolvable mean that no valid signs exist.  The accepted diagonals,
-doubled, are the Smith forms of the +-2 blocks, so cohomology only sums them."""
+equation and of the d o d = 0 check.  Each component first takes its
+GF(2) solution with free variables 0: the propagated signs where
+propagation left none unknown (the component is settled), else the
+base of the elimination.  Signs are accepted when every nonzero Smith
+divisor of each +-1 layer block is odd, as the exponent-2 torsion of the
+cell structure demands; since B = U D V with U, V unimodular, hence
+invertible mod 2, this says rank_Q B = rank_GF2 B.  One smith_blocks call
+reduces every (component, layer) block at once, each entry labelled by its
+block, so each block keeps its own divisors.  Only a component it rejects
+is solved on its own, through an exhaustive search over its GF(2)
+solution space, which makes Unsolvable mean that no valid signs exist.
+The accepted diagonals, doubled, are the Smith forms of the +-2 blocks, so
+cohomology only sums them."""
 
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ import numpy as np
 from .blowup import Signs, _coerce_group, format_signs, sign_vector
 from .errors import DiamondViolation, Unsolvable
 from .graph import IncidenceGraph, build_graph, spanning_forest
-from .snf import smith_diagonal
+from .snf import smith_blocks
 from .weyl import WeylGroup, word_label
 
 
@@ -153,9 +156,9 @@ def assign_signs(graph: IncidenceGraph, gauge: str = "forward") -> ChainComplex:
 
     gauge picks the spanning-forest orientation ("forward" or "reverse" cover
     order); any valid gauge must yield the same cohomology.
-    Components that propagation settled share one Smith form per layer (see
-    _settled_smith); every other component is solved on its own (see
-    _solve_component), and so is every component when a settled one fails.
+    One smith_blocks call reduces every component's layer blocks under its
+    kernel combination 0; a component it rejects goes through
+    _solve_component, which tries the rest.
     """
     edges = graph.edges
     scan = np.arange(len(edges))
@@ -181,21 +184,41 @@ def assign_signs(graph: IncidenceGraph, gauge: str = "forward") -> ChainComplex:
     diamond_cuts = np.searchsorted(comp[diamonds[:, 0]], comp[heads]).tolist() + [len(diamonds)]
 
     value = _propagate(np.where(tree, 0, -1).astype(np.int8), diamonds)
-    # a component is settled when propagation fixed all its signs
+    # every component's kernel combination 0: the propagated values where they
+    # fixed every sign (settled), the _solve_forced base elsewhere.  It is
+    # rejected when that base is inconsistent, a settled diamond is even or
+    # a layer block has an even divisor; only then is the component solved
+    # on its own, in order, so that a failure names it
+    count = len(edge_cuts) - 1
     settled = np.add.reduceat(value < 0, edge_cuts[:-1]) == 0
-    at = np.repeat(settled, np.diff(edge_cuts))
-    signs = np.empty(len(edges), np.int8)
-    signs[scan[at]] = 1 - 2 * value[at]
-    diamond_values = value[diamonds[np.repeat(settled, np.diff(diamond_cuts))]]
-    smith = _settled_smith(graph, edges[scan[at]], signs[scan[at]], diamond_values)
-    if smith is None:  # one by one: a failure names its component
-        settled[:], smith = False, [[] for _ in graph.group.length_distribution()[1:]]
+    even = np.flatnonzero((np.bitwise_xor.reduce(value[diamonds], axis=1) & 1) == 0)
+    rejected = np.zeros(count, bool)
+    rejected[np.searchsorted(diamond_cuts, even, "right") - 1] = True
+    rejected &= settled
+    bits = value.copy()
     for c in np.flatnonzero(~settled).tolist():
         a, b, lo, hi = edge_cuts[c], edge_cuts[c + 1], diamond_cuts[c], diamond_cuts[c + 1]
-        signs[scan[a:b]], diags = _solve_component(
-            graph, edges[scan[a:b]], value[a:b], diamonds[lo:hi] - a
-        )
-        for k, diag in diags.items():
+        solved = _solve_forced(value[a:b], diamonds[lo:hi] - a)
+        if solved is None:
+            rejected[c] = True
+        else:
+            bits[a:b] = _bits(solved[0], b - a)
+    signs = np.empty(len(edges), np.int8)
+    signs[scan] = 1 - 2 * bits
+    # one elimination over every (component, layer) block
+    top = len(graph.group.length_distribution()) - 1
+    labels = np.repeat(np.arange(count, dtype=np.int32) * top, np.diff(edge_cuts))
+    labels += graph.group._lengths[edges[scan, 0]]
+    diags = smith_blocks(edges[scan, 1], edges[scan, 0], signs[scan], labels, count * top)
+    smith: list[list[int]] = [[] for _ in range(top)]
+    for c in range(count):
+        blocks = dict(enumerate(diags[c * top : (c + 1) * top]))
+        if rejected[c] or any(d % 2 == 0 for diag in blocks.values() for d in diag):
+            a, b, lo, hi = edge_cuts[c], edge_cuts[c + 1], diamond_cuts[c], diamond_cuts[c + 1]
+            signs[scan[a:b]], blocks = _solve_component(
+                graph, edges[scan[a:b]], value[a:b], diamonds[lo:hi] - a
+            )
+        for k, diag in blocks.items():
             smith[k] += [2 * d for d in diag]
     _verify_square_zero(graph, scan[paths], signs)
 
@@ -213,47 +236,24 @@ def _propagate(value: np.ndarray, diamonds: np.ndarray) -> np.ndarray:
     on value: 0 is +, 1 is -, -1 unknown); it stops when no such diamond is left.
     A diamond's four values are one little-endian word, whose byte sums take one
     multiply: each unknown 0xff byte adds 1 to the count of high bits and to the
-    sum of low bits, whose parity is then the forced value."""
+    sum of low bits, whose parity is then the forced value.  The diamonds still
+    open are one shrinking row index, gathered in slices that stay in cache."""
+    live = np.arange(len(diamonds))
     while True:
-        word = value[diamonds].view("<u4").ravel()
+        word = np.empty((len(live), 4), np.int8)
+        for at in range(0, len(live), 1 << 16):
+            word[at : at + (1 << 16)] = value[diamonds[live[at : at + (1 << 16)]]]
+        word = word.view("<u4").ravel()
         high = (word >> 7) & 0x01010101
         unknown = (high * 0x01010101) >> 24
         one = np.flatnonzero(unknown == 1)
         if not one.size:
             return value
         # the one high bit, in byte i, times 0x00010203 puts i in the top byte
-        forced = diamonds[one, (high[one] * 0x00010203) >> 24]
+        forced = diamonds[live[one], (high[one] * 0x00010203) >> 24]
         value[forced] = ((word[one] & 0x01010101) * 0x01010101 >> 24) & 1
-        diamonds = diamonds[unknown > 1]
-
-
-def _block(edges: np.ndarray, signs: np.ndarray):
-    """The sparse +-1 rows of a layer block: one {bottom vertex: sign} per top
-    vertex, tops and columns ascending, over the given edges of one layer."""
-    rows: dict[int, dict[int, int]] = {}
-    order = np.lexsort((edges[:, 0], edges[:, 1]))
-    for (bottom, top), sign in zip(edges[order].tolist(), signs[order].tolist()):
-        rows.setdefault(top, {})[bottom] = sign
-    return rows.values()
-
-
-def _settled_smith(graph: IncidenceGraph, edges, signs, diamond_values) -> list[list[int]] | None:
-    """Each layer's doubled Smith divisors over the settled components' edges,
-    from one Smith form of the layer: it is block-diagonal over components,
-    and its divisors are all 1 exactly when each block's are.  None when a
-    diamond is even or a divisor is not 1: only the per-component solve can
-    then name the failing component, or keep each block's own divisors."""
-    if (diamond_values.sum(axis=1) % 2 == 0).any():
-        return None
-    layer = graph.group._lengths[edges[:, 0]]
-    smith = []
-    for k in range(len(graph.group.length_distribution()) - 1):
-        mask = layer == k
-        diag = smith_diagonal(_block(edges[mask], signs[mask]))
-        if any(d != 1 for d in diag):
-            return None
-        smith.append([2] * len(diag))
-    return smith
+        del word, high, one, forced
+        live = live[unknown > 1]
 
 
 def _bits(packed: int, n: int) -> np.ndarray:
@@ -304,7 +304,6 @@ def _solve_component(
     no valid signs exist for this component.
     """
     layer = graph.group._lengths[edges[:, 0]]
-    layers = [(k, layer == k) for k in np.flatnonzero(np.bincount(layer)).tolist()]
 
     def where() -> str:
         first = word_label(graph.group.word(int(edges.min())))
@@ -314,20 +313,17 @@ def _solve_component(
     if solved is None:
         raise Unsolvable(f"no consistent sign assignment for {where()}")
     base, kernel = solved
+    top = len(graph.group.length_distribution()) - 1
     for combo in range(1 << len(kernel)):
         packed = base
         for a, vec in enumerate(kernel):
             if (combo >> a) & 1:
                 packed ^= vec
         signs = 1 - 2 * _bits(packed, len(edges))
-        diags = {}
-        for k, mask in layers:
-            # smith_diagonal lists only the nonzero divisors
-            diags[k] = smith_diagonal(_block(edges[mask], signs[mask]))
-            if not all(d % 2 for d in diags[k]):
-                break
-        else:
-            return signs, diags
+        diags = smith_blocks(edges[:, 1], edges[:, 0], signs, layer, top)
+        k = next((k for k, diag in enumerate(diags) if any(d % 2 == 0 for d in diag)), None)
+        if k is None:
+            return signs, dict(enumerate(diags))
     raise Unsolvable(
         f"sign assignment for {where()}: none of the 2^{len(kernel)} kernel combinations "
         f"reaches the mod-2 rank of the C^{k} -> C^{k + 1} block"

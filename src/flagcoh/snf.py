@@ -3,12 +3,23 @@
 This is the package's only integer elimination: it reduces the ±1 layer
 blocks of the sign solve and decides whether a Cartan matrix is singular.
 Only the diagonal is needed downstream (ranks and elementary divisors), so
-no transform matrices are tracked.  Rows are kept as {column: entry} dicts,
-the form the sign solve passes; dense rows are read into it.
-The pivot is a ±1 entry when one exists: in the first row holding one (a
-heap of the changed rows finds it), the unit whose column the fewest rows
-have held, against fill-in (Markowitz, Management Science 3, 1957);
-otherwise it is an entry of least absolute value.
+no transform matrices are tracked.
+
+smith_blocks reduces all blocks of a block-diagonal matrix, given as numpy
+entry arrays labelled by block, in rounds of independent ±1 pivots, each
+one Schur complement joined on the pivot (Davis & Yew, SIAM J. Matrix Anal.
+Appl. 11, 1990; unit pivots first as in Dumas, Saunders & Villard, J. Symb.
+Comput. 32, 2001).  A unit pivot touches only its own block, so each block
+keeps its own divisors.  The rounds stop when no ±1 entry is left or an
+entry reaches 2^16, below which int64 cannot overflow; smith_diagonal
+reduces what is left, usually nothing.
+
+smith_diagonal keeps rows as {column: entry} dicts of Python integers, and
+also reads dense rows.  Its pivot is a ±1 entry when one exists: in the
+first row holding one (a heap of the changed rows finds it), the unit
+whose column the fewest rows have held, against fill-in (Markowitz,
+Management Science 3, 1957); otherwise it is an entry of least absolute
+value.
 Row operations clear the pivot's column, in the rows a column -> rows index
 lists; a unit pivot's row then drops out with divisor 1, as column
 operations clear it and touch no other row.  A pivot that is not a unit
@@ -21,6 +32,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from heapq import heappop, heappush
+
+import numpy as np
 
 
 def smith_diagonal(rows) -> list[int]:
@@ -104,3 +117,109 @@ def rank(rows) -> int:
 def elementary_divisors(rows) -> list[int]:
     """Divisors > 1 of the Smith form, sorted."""
     return sorted(d for d in smith_diagonal(rows) if d > 1)
+
+
+_BOUND = 1 << 16  # below it, M + P * M^2 < 2^63 for any P < 2^30 pivots
+
+
+def smith_blocks(rows, cols, vals, labels, count: int) -> list[list[int]]:
+    """smith_diagonal of each block of a block-diagonal matrix: entry
+    (rows[e], cols[e]) = vals[e] lies in block labels[e] < count; blocks
+    share no row or column, and no (row, column) pair repeats.  Each unit
+    pivot of the rounds is one divisor 1 of its own block, and
+    smith_diagonal reduces what the rounds leave of each block."""
+    vals = np.asarray(vals, np.int64)
+    live = np.flatnonzero(vals)
+    nrow, ncol = (int(np.max(ids, initial=-1)) + 1 for ids in (rows, cols))
+    index = np.int32 if max(nrow, ncol) < 1 << 31 else np.int64
+    row, col, val = np.asarray(rows, index)[live], np.asarray(cols, index)[live], vals[live]
+    labels = np.asarray(labels)[live]
+    row_label, col_label = np.zeros(nrow, np.int64), np.zeros(ncol, np.int64)
+    row_label[row], col_label[col] = labels, labels
+    if (row_label[row] != labels).any() or (col_label[col] != labels).any():
+        raise ValueError("two blocks share a row or a column")
+    del live, labels, col_label
+    units = np.zeros(count, np.int64)
+    while (pivot := _pivots(row, col, val, nrow, ncol)).size:
+        units += np.bincount(row_label[row[pivot]], minlength=count)
+        row, col, val = _eliminate(row, col, val, pivot, nrow, ncol)
+    diags = [[1] * u for u in units.tolist()]
+    rest: dict[int, dict[int, dict[int, int]]] = defaultdict(lambda: defaultdict(dict))
+    for b, i, j, v in zip(row_label[row].tolist(), row.tolist(), col.tolist(), val.tolist()):
+        rest[b][i][j] = v
+    for b, block in rest.items():
+        diags[b] += smith_diagonal(block.values())
+    return diags
+
+
+def _pivots(row, col, val, nrow: int, ncol: int) -> np.ndarray:
+    """Positions of independent ±1 entries: no two share a row or a column,
+    and no pivot row holds another pivot's column.  Every row proposes its
+    unit of least Markowitz cost (row count - 1) * (column count - 1), of
+    those at most 4 * the least + 4; every column keeps its cheapest
+    proposal; where one proposal's row holds another's column, the dearer
+    waits.  No pivot once an entry reaches 2^16."""
+    magnitude = np.abs(val)
+    unit = np.flatnonzero(magnitude == 1)
+    if not unit.size or magnitude.max() >= _BOUND:
+        return unit[:0]
+    cost = np.bincount(row, minlength=nrow)[row[unit]] - 1
+    cost *= np.bincount(col, minlength=ncol)[col[unit]] - 1
+    cheap = np.flatnonzero(cost <= 4 * cost.min() + 4)
+    unit = unit[cheap]
+    # unique ranks: by cost, clipped so that no rank reaches 2^63, then position
+    rank = np.minimum(cost[cheap], (1 << 62) // unit.size) * unit.size + np.arange(unit.size)
+    for line, size in ((row, nrow), (col, ncol)):
+        least = np.full(size, np.iinfo(np.int64).max)
+        np.minimum.at(least, line[unit], rank)
+        best = np.flatnonzero(least[line[unit]] == rank)
+        unit, rank = unit[best], rank[best]
+    k_row, k_col = np.full(nrow, -1, row.dtype), np.full(ncol, -1, row.dtype)
+    k_row[row[unit]] = k_col[col[unit]] = np.arange(unit.size)
+    held = np.flatnonzero(k_col[col] >= 0)
+    a, b = k_row[row[held]], k_col[col[held]]
+    clash = np.flatnonzero((a >= 0) & (a != b))
+    a, b = a[clash], b[clash]
+    keep = np.ones(unit.size, bool)
+    keep[np.where(rank[a] > rank[b], a, b)] = False
+    return unit[keep]
+
+
+def _eliminate(row, col, val, pivot, nrow: int, ncol: int):
+    """The Schur complement B22 - B21 B11^-1 B12 on the given independent unit
+    pivots, as one join of the pivot columns with the pivot rows on the
+    pivot; a unit pivot is its own inverse.  The entries of rows that hold
+    a pivot column are summed with the fill after one sort on the key
+    row * ncol + col; every other row keeps its entries in place."""
+    k_row, k_col = np.full(nrow, -1, row.dtype), np.full(ncol, -1, row.dtype)
+    k_row[row[pivot]] = k_col[col[pivot]] = np.arange(pivot.size)
+    kc = k_col[col]
+    left = np.flatnonzero(kc >= 0)  # B21: the pivot columns less the pivots
+    left = left[k_row[row[left]] < 0]
+    state = np.zeros(nrow, np.int8)  # 2 for a pivot row, 1 for a row of B21
+    state[row[left]], state[row[pivot]] = 1, 2
+    state = state[row]
+    upper = np.flatnonzero(state == 2)  # B12: the pivot rows less the pivots
+    upper = upper[kc[upper] < 0]
+    ku = k_row[row[upper]]
+    upper, sizes = upper[np.argsort(ku, kind="stable")], np.bincount(ku, minlength=pivot.size)
+    k = kc[left]
+    n = sizes[k]
+    at = upper[np.repeat(np.cumsum(sizes)[k] - sizes[k] - np.cumsum(n) + n, n) + np.arange(n.sum())]
+    hit = np.flatnonzero(state == 1)
+    hit = hit[kc[hit] < 0]
+    key = np.concatenate((row[hit], np.repeat(row[left], n))).astype(np.int64) * ncol
+    key += np.concatenate((col[hit], col[at]))
+    fill = np.concatenate((val[hit], np.repeat(-val[left] * val[pivot][k], n) * val[at]))
+    order = np.argsort(key)
+    key, fill = key[order], fill[order]
+    heads = np.flatnonzero(np.concatenate((key[:1] >= 0, key[1:] != key[:-1])))
+    key, fill = key[heads], np.add.reduceat(fill, heads)
+    nonzero = np.flatnonzero(fill)
+    key, fill = key[nonzero], fill[nonzero]
+    stay = np.flatnonzero(state == 0)
+    return (
+        np.concatenate((row[stay], (key // ncol).astype(row.dtype))),
+        np.concatenate((col[stay], (key % ncol).astype(row.dtype))),
+        np.concatenate((val[stay], fill)),
+    )

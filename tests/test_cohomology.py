@@ -19,7 +19,7 @@ from flagcoh.cohomology import (
     rational_betti,
 )
 from flagcoh.graph import build_graph, spanning_forest
-from flagcoh.snf import elementary_divisors, rank, smith_diagonal
+from flagcoh.snf import elementary_divisors, rank, smith_blocks, smith_diagonal
 from flagcoh.weyl import enumerate_group
 
 
@@ -209,8 +209,11 @@ def test_per_component_snf_matches_dense_snf():
 
 
 def test_unsolvable_names_component_layer_and_kernel(monkeypatch):
-    # an even divisor, which every kernel combination must reject
-    monkeypatch.setattr(cohomology, "smith_diagonal", lambda rows: [2])
+    # an even divisor at layer 1, which every kernel combination must reject
+    def even_at_layer_1(rows, cols, vals, labels, count):
+        return [[2] if b == 1 else [1] for b in range(count)]
+
+    monkeypatch.setattr(cohomology, "smith_blocks", even_at_layer_1)
     message = (
         "sign assignment for A2 eps=--, component of 1: none of the 2^0 kernel "
         "combinations reaches the mod-2 rank of the C^1 -> C^2 block"
@@ -298,15 +301,15 @@ def test_conflicting_forced_edge_is_unsolvable():
 
 
 def test_settled_components_take_one_smith_form_per_layer(monkeypatch):
-    # propagation fixes every sign of A5 -+-+-, so the sign solve reduces each
-    # of its 15 layers once for all components (one form per component
-    # block would be 202)
+    # propagation fixes every sign of A5 -+-+-, and every component passes,
+    # so one elimination reduces the layer blocks of all components (one
+    # Smith form per component block would be 202)
     calls = []
     monkeypatch.setattr(
-        cohomology, "smith_diagonal", lambda rows: calls.append(1) or smith_diagonal(rows)
+        cohomology, "smith_blocks", lambda *args: calls.append(1) or smith_blocks(*args)
     )
-    cc = complex_for("A5", "-+-+-")
-    assert 0 < len(calls) <= cc.top_degree == 15
+    complex_for("A5", "-+-+-")
+    assert len(calls) == 1
 
 
 def _solved_by_component(g):
@@ -337,6 +340,24 @@ def test_pooled_smith_forms_match_the_per_component_solve():
         signs, smith, unknown, count = _solved_by_component(g)
         assert 0 < unknown < count, (name, unknown, count)  # open and settled both
         cc = assign_signs(g)
+        assert cc.smith == smith, name
+        assert cc.signs.tobytes() == signs.tobytes(), name
+
+
+def test_components_that_reject_kernel_combination_0_match_the_per_component_solve(monkeypatch):
+    # on these, some components fail combination 0 in the one elimination and
+    # go through _solve_component, which finds a later combination
+    solve = cohomology._solve_component
+    for name, eps, rejected in [("B4", "----", 1), ("F4", "----", 3), ("D5", "-----", 1)]:
+        g = build_graph(name, eps)
+        signs, smith, _, _ = _solved_by_component(g)
+        calls = []
+        monkeypatch.setattr(
+            cohomology, "_solve_component", lambda *args: calls.append(1) or solve(*args)
+        )
+        cc = assign_signs(g)
+        monkeypatch.setattr(cohomology, "_solve_component", solve)
+        assert len(calls) == rejected, (name, len(calls))
         assert cc.smith == smith, name
         assert cc.signs.tobytes() == signs.tobytes(), name
 

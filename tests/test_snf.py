@@ -4,7 +4,11 @@ import itertools
 import random
 from math import gcd, prod
 
-from flagcoh.snf import smith_diagonal
+import numpy as np
+import pytest
+
+from flagcoh import snf
+from flagcoh.snf import smith_blocks, smith_diagonal
 
 
 def _leibniz_det(m):
@@ -94,3 +98,84 @@ def test_signed_cycle_block_has_an_even_divisor():
         _check_against_minors([cycle[i] for i in order], [1, 1, 1, 2])
     # the same cycle with sign product +1 is singular
     _check_against_minors([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]], [1, 1, 1])
+
+
+def _entries(blocks, rng):
+    """The dense blocks as one block-diagonal matrix: shuffled (row, col, value,
+    label) arrays, block b on its own rows and columns, spread over sparse ids."""
+    entries, r0, c0 = [], 0, 0
+    for b, rows in enumerate(blocks):
+        entries += [(r0 + i, c0 + j, v, b) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
+        r0, c0 = r0 + len(rows) + 2, c0 + len(rows[0]) + 3
+    entries = [entries[e] for e in rng.permutation(len(entries))]
+    return tuple(np.array(col, np.int64).reshape(-1) for col in zip(*entries)) if entries else ([],) * 4
+
+
+def _check_blocks(blocks, rng, minors=True):
+    got = smith_blocks(*_entries(blocks, rng), len(blocks))
+    assert got == [smith_diagonal(rows) for rows in blocks], (blocks, got)
+    for rows, d in zip(blocks, got):
+        for k in range(1, min(len(rows), len(rows[0])) + 1) if minors else ():
+            assert _minor_gcd(rows, k) == (prod(d[:k]) if k <= len(d) else 0), (rows, k)
+    return got
+
+
+def test_block_divisors_match_smith_diagonal_and_minors():
+    rng = np.random.default_rng(22)
+    values = [(-1, 1), (-1, 1), (-3, -2, -1, 1, 2, 3, 5)]
+    for _ in range(300):
+        blocks = []
+        for _ in range(int(rng.integers(1, 5))):
+            m, n, density = int(rng.integers(1, 5)), int(rng.integers(1, 5)), rng.random()
+            pick = values[int(rng.integers(3))]
+            blocks.append([[int(rng.choice(pick)) if rng.random() < density else 0 for _ in range(n)]
+                           for _ in range(m)])
+        _check_blocks(blocks, rng)
+    # larger sparse ±1 blocks, where rounds take several pivots at once
+    for _ in range(20):
+        blocks = [[[int(rng.choice((-1, 1))) if rng.random() < 0.15 else 0 for _ in range(30)]
+                   for _ in range(25)] for _ in range(3)]
+        _check_blocks(blocks, rng, minors=False)
+
+
+def test_blocks_keep_their_own_odd_divisors():
+    # one matrix with a 3 and a 5 has divisors 1, 15; as two blocks they stay apart
+    rng = np.random.default_rng(3)
+    assert _check_blocks([[[3]], [[5]]], rng) == [[3], [5]]
+    r = random.Random(35)
+    for _ in range(30):
+        blocks = [_scrambled((1, 3), 3, r), _scrambled((1, 1, 5), 4, r)]
+        assert _check_blocks(blocks, rng) == [[1, 3], [1, 1, 5]]
+
+
+def test_blocks_report_even_divisors():
+    rng = np.random.default_rng(2)
+    cycle = [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [-1, 0, 0, 1]]
+    assert _check_blocks([cycle, [[1, 1], [1, -1]], [[2]]], rng) == [[1, 1, 1, 2], [1, 2], [2]]
+    r = random.Random(6)
+    for _ in range(30):
+        assert _check_blocks([_scrambled((1, 1, 2, 6), 5, r)], rng) == [[1, 1, 2, 6]]
+
+
+def test_entries_past_the_bound_go_to_the_dict_remainder(monkeypatch):
+    # the first round pivots on (0, 0) of each block and leaves -300 * 300 =
+    # -90000 >= 2^16 at (1, 1) of the first, units included; the rounds stop,
+    # and smith_diagonal reduces what is left of both blocks
+    calls = []
+    monkeypatch.setattr(snf, "smith_diagonal", lambda rows: calls.append(1) or smith_diagonal(rows))
+    rng = np.random.default_rng(16)
+    grown = [[1, 300, 0, 0], [300, 0, 1, 0], [0, 1, 1, 1], [0, 0, 1, -1]]
+    assert _check_blocks([grown, [[1, 1], [-1, 1]]], rng) == [[1, 1, 1, 180001], [1, 2]]
+    assert len(calls) == 2
+    # an entry past the bound from the start: no round runs
+    calls.clear()
+    assert _check_blocks([[[1 << 16, 1], [0, 3]]], rng) == [[1, 3 << 16]]
+    assert len(calls) == 1
+
+
+def test_no_entries_and_shared_rows():
+    assert smith_blocks([], [], [], [], 0) == []
+    assert smith_blocks([], [], [], [], 2) == [[], []]
+    assert smith_blocks([0, 1], [0, 1], [0, 0], [0, 1], 2) == [[], []]  # zeros are no entries
+    with pytest.raises(ValueError, match="share a row or a column"):
+        smith_blocks([0, 0], [0, 1], [1, 1], [0, 1], 2)
