@@ -11,17 +11,20 @@ unknown.  The signs are an int8 array beside the edge array.
 The differential only has entries on graph edges, so the complex is
 block-diagonal over the graph's connected components, and one join of the
 edge array on its middle vertex finds the diamonds of every parity
-equation and of the d o d = 0 check.  Each component first takes its
-GF(2) solution with free variables 0: the propagated signs where
-propagation left none unknown (the component is settled), else the
-base of the elimination.  Signs are accepted when every nonzero Smith
-divisor of each +-1 layer block is odd, as the exponent-2 torsion of the
-cell structure demands; since B = U D V with U, V unimodular, hence
-invertible mod 2, this says rank_Q B = rank_GF2 B.  One smith_blocks call
-reduces every (component, layer) block at once, each entry labelled by its
-block, so each block keeps its own divisors.  Only a component it rejects
-is solved on its own, through an exhaustive search over its GF(2)
-solution space, which makes Unsolvable mean that no valid signs exist.
+equation and of the d o d = 0 check.  Each component's GF(2) solutions
+are a base (free variables 0) and a kernel basis: the propagated signs
+alone where propagation left none unknown (the component is settled),
+else those of the elimination.  The diamond equations never see a cycle
+that stays between two adjacent length layers, so its sign product is
+free; but the cell structure has exponent-2 torsion, so signs are accepted
+only when every nonzero Smith divisor of each +-1 layer block is odd
+(B = U D V with U, V unimodular, hence invertible mod 2, so this says
+rank_Q B = rank_GF2 B).  Round r tries kernel combination r of every
+component not yet accepted: one smith_blocks call reduces all their
+(component, layer) blocks at once, each entry labelled by its block, so
+each block keeps its own divisors.  A component fails only once all 2^k
+combinations are tried, so Unsolvable means that no valid signs exist; it
+names the least failing component, as a loop over them in order would.
 The accepted diagonals, doubled, are the Smith forms of the +-2 blocks, so
 cohomology only sums them."""
 
@@ -156,9 +159,10 @@ def assign_signs(graph: IncidenceGraph, gauge: str = "forward") -> ChainComplex:
 
     gauge picks the spanning-forest orientation ("forward" or "reverse" cover
     order); any valid gauge must yield the same cohomology.
-    One smith_blocks call reduces every component's layer blocks under its
-    kernel combination 0; a component it rejects goes through
-    _solve_component, which tries the rest.
+    Round r reduces the layer blocks of every component that no earlier
+    round accepted under its kernel combination r, in one smith_blocks
+    call; a component fails once all 2^k combinations are tried, and the
+    least failing component is the one named.
     """
     edges = graph.edges
     scan = np.arange(len(edges))
@@ -184,42 +188,64 @@ def assign_signs(graph: IncidenceGraph, gauge: str = "forward") -> ChainComplex:
     diamond_cuts = np.searchsorted(comp[diamonds[:, 0]], comp[heads]).tolist() + [len(diamonds)]
 
     value = _propagate(np.where(tree, 0, -1).astype(np.int8), diamonds)
-    # every component's kernel combination 0: the propagated values where they
-    # fixed every sign (settled), the _solve_forced base elsewhere.  It is
-    # rejected when that base is inconsistent, a settled diamond is even or
-    # a layer block has an even divisor; only then is the component solved
-    # on its own, in order, so that a failure names it
-    count = len(edge_cuts) - 1
-    settled = np.add.reduceat(value < 0, edge_cuts[:-1]) == 0
+    # each component's GF(2) solutions, a base and a kernel basis: the
+    # propagated values where they fixed every sign (settled, base None),
+    # else _solve_forced's; none for an even settled diamond or a clash
+    count, sizes = len(edge_cuts) - 1, np.diff(edge_cuts)
+    spans = [slice(a, b) for a, b in zip(edge_cuts, edge_cuts[1:])]
+    unknown = np.add.reduceat(value < 0, edge_cuts[:-1]) > 0
+    settled = ~unknown
     even = np.flatnonzero((np.bitwise_xor.reduce(value[diamonds], axis=1) & 1) == 0)
-    rejected = np.zeros(count, bool)
-    rejected[np.searchsorted(diamond_cuts, even, "right") - 1] = True
-    rejected &= settled
-    bits = value.copy()
-    for c in np.flatnonzero(~settled).tolist():
-        a, b, lo, hi = edge_cuts[c], edge_cuts[c + 1], diamond_cuts[c], diamond_cuts[c + 1]
-        solved = _solve_forced(value[a:b], diamonds[lo:hi] - a)
-        if solved is None:
-            rejected[c] = True
-        else:
-            bits[a:b] = _bits(solved[0], b - a)
-    signs = np.empty(len(edges), np.int8)
-    signs[scan] = 1 - 2 * bits
-    # one elimination over every (component, layer) block
+    settled[np.searchsorted(diamond_cuts, even, "right") - 1] = False
+    solved = {c: (None, []) for c in np.flatnonzero(settled).tolist()}
+    for c in np.flatnonzero(unknown).tolist():
+        local = diamonds[diamond_cuts[c] : diamond_cuts[c + 1]] - edge_cuts[c]
+        if (got := _solve_forced(value[spans[c]], local)) is not None:
+            solved[c] = got
+
+    def where(c: int) -> str:
+        first = word_label(graph.group.word(int(edges[scan[spans[c]]].min())))
+        return f"{graph.group.lie_type} eps={format_signs(graph.eps)}, component of {first}"
+
+    failed = {
+        c: f"no consistent sign assignment for {where(c)}" for c in range(count) if c not in solved
+    }
+    # round r writes kernel combination r of every component still pending
+    # into value, and one elimination reduces their (component, layer) blocks
     top = len(graph.group.length_distribution()) - 1
-    labels = np.repeat(np.arange(count, dtype=np.int32) * top, np.diff(edge_cuts))
-    labels += graph.group._lengths[edges[scan, 0]]
-    diags = smith_blocks(edges[scan, 1], edges[scan, 0], signs[scan], labels, count * top)
+    part = np.repeat(np.arange(count, dtype=np.int32), sizes)
+    labels = part * top + graph.group._lengths[edges[scan, 0]]
     smith: list[list[int]] = [[] for _ in range(top)]
-    for c in range(count):
-        blocks = dict(enumerate(diags[c * top : (c + 1) * top]))
-        if rejected[c] or any(d % 2 == 0 for diag in blocks.values() for d in diag):
-            a, b, lo, hi = edge_cuts[c], edge_cuts[c + 1], diamond_cuts[c], diamond_cuts[c + 1]
-            signs[scan[a:b]], blocks = _solve_component(
-                graph, edges[scan[a:b]], value[a:b], diamonds[lo:hi] - a
-            )
-        for k, diag in blocks.items():
-            smith[k] += [2 * d for d in diag]
+    combo, pending = 0, sorted(solved)
+    while pending:
+        for c in pending:
+            base, kernel = solved[c]
+            if base is not None:
+                for a, vec in enumerate(kernel):
+                    base ^= vec if combo >> a & 1 else 0
+                value[spans[c]] = _bits(base, sizes[c])
+        vals = (1 - 2 * value) * np.isin(part, pending)  # 0 is no entry
+        diags = smith_blocks(edges[scan, 1], edges[scan, 0], vals, labels, count * top)
+        left = []
+        for c in pending:
+            blocks = diags[c * top : (c + 1) * top]
+            k = next((k for k, diag in enumerate(blocks) if any(d % 2 == 0 for d in diag)), None)
+            if k is None:
+                for k, diag in enumerate(blocks):
+                    smith[k] += [2 * d for d in diag]
+            elif combo + 1 < 1 << len(solved[c][1]):
+                left.append(c)
+            else:
+                failed[c] = (
+                    f"sign assignment for {where(c)}: none of the 2^{len(solved[c][1])} kernel "
+                    f"combinations reaches the mod-2 rank of the C^{k} -> C^{k + 1} block"
+                )
+        least = min(failed, default=count)  # a component past it is never named
+        pending, combo = [c for c in left if c < least], combo + 1
+    if failed:
+        raise Unsolvable(failed[min(failed)])
+    signs = np.empty(len(edges), np.int8)
+    signs[scan] = 1 - 2 * value
     _verify_square_zero(graph, scan[paths], signs)
 
     return ChainComplex(
@@ -282,52 +308,6 @@ def _solve_forced(value: np.ndarray, diamonds: np.ndarray) -> tuple[int, list[in
         return int.from_bytes(np.packbits(out, bitorder="little").tobytes(), "little")
 
     return expand(solved[0], True), [expand(vec) for vec in solved[1]]
-
-
-def _solve_component(
-    graph: IncidenceGraph, edges, value, diamonds
-) -> tuple[np.ndarray, dict[int, list[int]]]:
-    """Signs (+-1 per row of edges) for one component, and the Smith diagonal
-    of each of its +-1 layer blocks under them.  edges are the component's
-    rows in scan order; value (the tree edges + and the edges propagation
-    forced) and the rows of diamonds (the four edges of each complete
-    diamond) are positions among them.  A forced edge x puts e_x in the row
-    space, whose top bits do not depend on the elimination, so eliminating
-    only the unknown edges keeps the full system's pivots and solutions.
-
-    The diamond equations never see a cycle that stays between two adjacent
-    length layers, so its sign product is free; the underlying cell
-    structure has exponent-2 torsion, so every nonzero Smith divisor of
-    each +-1 layer block must be odd (B = U D V with U, V unimodular, which
-    stay invertible mod 2, so the odd divisors count the mod-2 rank of B).
-    All 2^k combinations of the GF(2) kernel are tried, so Unsolvable means
-    no valid signs exist for this component.
-    """
-    layer = graph.group._lengths[edges[:, 0]]
-
-    def where() -> str:
-        first = word_label(graph.group.word(int(edges.min())))
-        return f"{graph.group.lie_type} eps={format_signs(graph.eps)}, component of {first}"
-
-    solved = _solve_forced(value, diamonds)
-    if solved is None:
-        raise Unsolvable(f"no consistent sign assignment for {where()}")
-    base, kernel = solved
-    top = len(graph.group.length_distribution()) - 1
-    for combo in range(1 << len(kernel)):
-        packed = base
-        for a, vec in enumerate(kernel):
-            if (combo >> a) & 1:
-                packed ^= vec
-        signs = 1 - 2 * _bits(packed, len(edges))
-        diags = smith_blocks(edges[:, 1], edges[:, 0], signs, layer, top)
-        k = next((k for k, diag in enumerate(diags) if any(d % 2 == 0 for d in diag)), None)
-        if k is None:
-            return signs, dict(enumerate(diags))
-    raise Unsolvable(
-        f"sign assignment for {where()}: none of the 2^{len(kernel)} kernel combinations "
-        f"reaches the mod-2 rank of the C^{k} -> C^{k + 1} block"
-    )
 
 
 def _verify_square_zero(graph: IncidenceGraph, paths, signs) -> None:

@@ -15,23 +15,18 @@ entry reaches 2^16, below which int64 cannot overflow; smith_diagonal
 reduces what is left, usually nothing.
 
 smith_diagonal keeps rows as {column: entry} dicts of Python integers, and
-also reads dense rows.  Its pivot is a ±1 entry when one exists: in the
-first row holding one (a heap of the changed rows finds it), the unit
-whose column the fewest rows have held, against fill-in (Markowitz,
-Management Science 3, 1957); otherwise it is an entry of least absolute
-value.
-Row operations clear the pivot's column, in the rows a column -> rows index
-lists; a unit pivot's row then drops out with divisor 1, as column
-operations clear it and touch no other row.  A pivot that is not a unit
-clears its row by column operations and is recorded only once no row holds
-an entry it does not divide (it takes such a row in and picks again), so
-each recorded pivot divides all that is left and the divisors form a chain.
+also reads dense rows.  Its pivot is the first ±1 entry when one exists,
+and otherwise an entry of least absolute value.  Row operations clear the
+pivot's column; column operations, which then touch the pivot row only,
+clear its row.  A pivot that is not a unit is recorded only once no row
+holds an entry it does not divide (it takes such a row in and picks again),
+so each recorded pivot divides all that is left and the divisors form a
+chain.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from heapq import heappop, heappush
 
 import numpy as np
 
@@ -42,52 +37,30 @@ def smith_diagonal(rows) -> list[int]:
     rows = (r.items() if isinstance(r, dict) else enumerate(r) for r in rows)
     a = {i: {j: int(v) for j, v in r if v} for i, r in enumerate(rows)}
     a = {i: r for i, r in a.items() if r}
-    holders: dict[int, set[int]] = defaultdict(set)  # column -> rows that held it
-    for i, row in a.items():
-        for j in row:
-            holders[j].add(i)
-    todo = list(a)  # a heap that holds every row holding a unit
     diag: list[int] = []
-
-    def pivot() -> tuple[int, int]:
-        while todo:
-            i = heappop(todo)
-            best = None  # the unit whose column the fewest rows held
-            for j, v in a.get(i, {}).items():
-                if v in (1, -1) and (best is None or len(holders[j]) < len(holders[best])):
-                    best = j
-            if best is not None:
-                return i, best
-        return min(((i, j) for i, row in a.items() for j in row), key=lambda ij: abs(a[ij[0]][ij[1]]))
-
     while a:
-        r, c = pivot()
+        units = ((i, j) for i, row in a.items() for j, v in row.items() if v in (1, -1))
+        r, c = next(units, None) or min(
+            ((i, j) for i, row in a.items() for j in row), key=lambda ij: abs(a[ij[0]][ij[1]])
+        )
         prow = a[r]
         p = prow[c]
-        # clear column c in the rows that hold it; a nonzero remainder is
-        # smaller than p, so pick again
+        # clear column c; a nonzero remainder is smaller than p, so pick again
         left = False
-        for i in holders[c]:
-            row = a.get(i)
-            if i == r or row is None or c not in row:
+        for i, row in list(a.items()):
+            if i == r or c not in row:
                 continue
             q = -(row[c] // p)
             for j, v in prow.items():
                 x = row.get(j, 0) + q * v
                 if x:
-                    holders[j].add(i)
                     row[j] = x
                 else:
                     del row[j]
-            heappush(todo, i)
             left |= c in row
             if not row:
                 del a[i]
         if left:
-            continue
-        if p in (1, -1):
-            diag.append(1)
-            del a[r]
             continue
         # clear row r: column c now lives in row r only
         for j in [j for j in prow if j != c]:
@@ -95,16 +68,14 @@ def smith_diagonal(rows) -> list[int]:
                 prow[j] %= p
             else:
                 del prow[j]
-        heappush(todo, r)  # a remainder left in row r may be a unit
         if len(prow) > 1:
             continue
-        culprit = next((row for row in a.values() if any(v % p for v in row.values())), None)
-        if culprit is not None:
-            # row r += culprit, reduced by column operations as above
-            prow.update((j, v % p) for j, v in culprit.items() if v % p)
-            for j in prow:
-                holders[j].add(r)
-            continue
+        if p not in (1, -1):
+            culprit = next((row for row in a.values() if any(v % p for v in row.values())), None)
+            if culprit is not None:
+                # row r += culprit, reduced by column operations as above
+                prow.update((j, v % p) for j, v in culprit.items() if v % p)
+                continue
         diag.append(abs(p))
         del a[r]
     return diag
@@ -112,11 +83,6 @@ def smith_diagonal(rows) -> list[int]:
 
 def rank(rows) -> int:
     return len([d for d in smith_diagonal(rows) if d])
-
-
-def elementary_divisors(rows) -> list[int]:
-    """Divisors > 1 of the Smith form, sorted."""
-    return sorted(d for d in smith_diagonal(rows) if d > 1)
 
 
 _BOUND = 1 << 16  # below it, M + P * M^2 < 2^63 for any P < 2^30 pivots

@@ -19,7 +19,7 @@ from flagcoh.cohomology import (
     rational_betti,
 )
 from flagcoh.graph import build_graph, spanning_forest
-from flagcoh.snf import elementary_divisors, rank, smith_blocks, smith_diagonal
+from flagcoh.snf import rank, smith_blocks, smith_diagonal
 from flagcoh.weyl import enumerate_group
 
 
@@ -39,7 +39,7 @@ def test_smith_diagonal_basics():
     assert smith_diagonal([[0, 0], [0, 0]]) == []
     assert rank([[1, 2], [2, 4]]) == 1
     assert smith_diagonal([[2, 0], [0, 3]]) == [1, 6]
-    assert elementary_divisors([[2, 0], [0, 3]]) == [6]
+    assert smith_diagonal([[0, 3], [2, 0]]) == [1, 6]
     # divisibility chain, determinant preserved
     d = smith_diagonal([[6, 0, 0], [0, 10, 0], [0, 0, 15]])
     assert d == [1, 30, 30] and d[0] * d[1] * d[2] == 900
@@ -281,10 +281,8 @@ def test_propagation_and_residual_solve_match_the_full_gf2_system():
         assert (name, sign_vector(eps, len(eps))) in residual, (name, eps)
 
 
-def test_conflicting_forced_edge_is_unsolvable():
-    # a hand-built system on seven edges; A3's first seven edge rows only
-    # name the component in the message
-    g = build_graph("A3", "+++")
+def test_conflicting_forced_edge_is_unsolvable(monkeypatch):
+    # a hand-built system on seven edges
     t0, t1, t2, t3, a, a2, b = range(7)
     diamonds = np.array([
         [t0, t1, t2, a],   # round 1: a = 1
@@ -295,9 +293,19 @@ def test_conflicting_forced_edge_is_unsolvable():
     value = cohomology._propagate(np.array([0, 0, 0, 0, -1, -1, -1], np.int8), diamonds)
     assert value[[a, a2]].tolist() == [1, 1] and value[b] in (0, 1)
     assert cohomology._solve_forced(value, diamonds) is None
-    message = "no consistent sign assignment for A3 eps=+++, component of e"
-    with pytest.raises(Unsolvable, match=re.escape(message)):
-        cohomology._solve_component(g, g.edges[:7], value, diamonds)
+    # assign_signs names the open component whose system clashes: here the
+    # one component of B3 --- that propagation leaves open
+    solve, calls = cohomology._solve_forced, []
+
+    def clash_first(value, diamonds):
+        calls.append(1)
+        return None if len(calls) == 1 else solve(value, diamonds)
+
+    monkeypatch.setattr(cohomology, "_solve_forced", clash_first)
+    message = "no consistent sign assignment for B3 eps=---, component of 1212"
+    with pytest.raises(Unsolvable, match=re.escape(message) + "$"):
+        assign_signs(build_graph("B3", "---"))
+    assert len(calls) == 1
 
 
 def test_settled_components_take_one_smith_form_per_layer(monkeypatch):
@@ -313,9 +321,11 @@ def test_settled_components_take_one_smith_form_per_layer(monkeypatch):
 
 
 def _solved_by_component(g):
-    """The sign solve run through _solve_component on every component, as
-    assign_signs orders them: (signs in edge order, pooled doubled diagonals,
-    count of components left with unknown edges, count of components)."""
+    """The sign solve one component at a time, in assign_signs's order: the
+    kernel combinations of _solve_forced's solution in turn, each layer
+    block checked by smith_diagonal on {bottom: sign} rows.  Returns (signs
+    in edge order, pooled doubled diagonals, count of components left with
+    unknown edges, count of components)."""
     root, tree = spanning_forest(g.vertex_count, g.edges)
     by_comp = np.argsort(root[g.edges[:, 0]], kind="stable")
     edges, comp = g.edges[by_comp], root[g.edges[by_comp, 0]]
@@ -327,7 +337,22 @@ def _solved_by_component(g):
     for r in roots.tolist():
         mine = np.flatnonzero(comp == r)
         local = diamonds[comp[diamonds[:, 0]] == r] - mine[0]
-        signs[by_comp[mine]], diags = cohomology._solve_component(g, edges[mine], value[mine], local)
+        base, kernel = cohomology._solve_forced(value[mine], local)
+        for combo in range(1 << len(kernel)):
+            packed = base
+            for a, vec in enumerate(kernel):
+                if combo >> a & 1:
+                    packed ^= vec
+            mine_signs = [1 - 2 * (packed >> e & 1) for e in range(len(mine))]
+            blocks = {}
+            for (i, j), sign in zip(edges[mine].tolist(), mine_signs):
+                blocks.setdefault(g.group.lengths[i], {}).setdefault(j, {})[i] = sign
+            diags = {k: smith_diagonal(rows.values()) for k, rows in blocks.items()}
+            if all(d % 2 for diag in diags.values() for d in diag):
+                break
+        else:
+            raise AssertionError(f"no kernel combination passes the component of {r}")
+        signs[by_comp[mine]] = mine_signs
         for k, diag in diags.items():
             smith[k] += [2 * d for d in diag]
     unknown = sum(bool((value[comp == r] < 0).any()) for r in roots.tolist())
@@ -345,19 +370,18 @@ def test_pooled_smith_forms_match_the_per_component_solve():
 
 
 def test_components_that_reject_kernel_combination_0_match_the_per_component_solve(monkeypatch):
-    # on these, some components fail combination 0 in the one elimination and
-    # go through _solve_component, which finds a later combination
-    solve = cohomology._solve_component
-    for name, eps, rejected in [("B4", "----", 1), ("F4", "----", 3), ("D5", "-----", 1)]:
+    # on these, some components fail combination 0 and pass combination 1,
+    # so the sign solve makes exactly two elimination rounds
+    for name, eps in [("B4", "----"), ("F4", "----"), ("D5", "-----")]:
         g = build_graph(name, eps)
         signs, smith, _, _ = _solved_by_component(g)
         calls = []
         monkeypatch.setattr(
-            cohomology, "_solve_component", lambda *args: calls.append(1) or solve(*args)
+            cohomology, "smith_blocks", lambda *args: calls.append(1) or smith_blocks(*args)
         )
         cc = assign_signs(g)
-        monkeypatch.setattr(cohomology, "_solve_component", solve)
-        assert len(calls) == rejected, (name, len(calls))
+        monkeypatch.setattr(cohomology, "smith_blocks", smith_blocks)
+        assert len(calls) == 2, (name, len(calls))
         assert cc.smith == smith, name
         assert cc.signs.tobytes() == signs.tobytes(), name
 
@@ -379,6 +403,40 @@ def test_settled_component_failure_names_that_component(monkeypatch):
     message = "no consistent sign assignment for A3 eps=---, component of 132"
     with pytest.raises(Unsolvable, match=re.escape(message) + "$"):
         assign_signs(build_graph("A3", "---"))
+
+
+def test_failure_names_the_least_component_across_rounds(monkeypatch):
+    # B3 --- has 13 components; with propagation off, 0, 2, 3, 5, 8, 10 and
+    # 11 are open.  The last clashes before round 0, while component 0 gets
+    # a one-vector kernel and doubled divisors under both combinations, so
+    # it fails only in round 1 (where component 5 passes, as it does
+    # unpatched); the message names component 0, as an ordered loop over
+    # the components would
+    monkeypatch.setattr(cohomology, "_propagate", lambda value, diamonds: value)
+    solve, solves, rounds = cohomology._solve_forced, [], []
+
+    def solve_with_a_failure_at_each_end(value, diamonds):
+        solves.append(1)
+        if len(solves) == 7:
+            return None
+        base, kernel = solve(value, diamonds)
+        return (base, kernel + [1]) if len(solves) == 1 else (base, kernel)
+
+    def even_in_component_0(rows, cols, vals, labels, count):
+        rounds.append(np.unique(np.asarray(labels)[np.asarray(vals) != 0] // 9).tolist())
+        diags = smith_blocks(rows, cols, vals, labels, count)
+        return [[2 * d for d in diag] if b < 9 else diag for b, diag in enumerate(diags)]
+
+    monkeypatch.setattr(cohomology, "_solve_forced", solve_with_a_failure_at_each_end)
+    monkeypatch.setattr(cohomology, "smith_blocks", even_in_component_0)
+    message = (
+        "sign assignment for B3 eps=---, component of 2: none of the 2^1 kernel "
+        "combinations reaches the mod-2 rank of the C^1 -> C^2 block"
+    )
+    with pytest.raises(Unsolvable, match=re.escape(message) + "$"):
+        assign_signs(build_graph("B3", "---"))
+    assert len(solves) == 7
+    assert rounds == [[c for c in range(13) if c != 11], [0, 5]]
 
 
 def _diamonds_by_lexsort(edges):

@@ -59,3 +59,26 @@ def test_package_imports_its_own_modules_at_module_level():
         if isinstance(node, ast.ImportFrom) and node.level > 0
     }
     assert found == set()
+
+
+def test_private_helpers_have_a_package_caller():
+    # a module-level function or method named _x that nothing in the package
+    # names besides its def is dead code, even when a test still calls it
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))]
+    helpers = {
+        node.name
+        for tree in trees
+        for scope in [tree, *(n for n in tree.body if isinstance(n, ast.ClassDef))]
+        for node in scope.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+    named = {
+        getattr(node, "id", None) or getattr(node, "attr", None) or node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    }
+    assert helpers
+    assert sorted(helpers - named) == []
