@@ -9,6 +9,7 @@ blow-up count; the final vector of the walk is w^{-1} eps.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
@@ -51,10 +52,7 @@ def all_minus(l: int) -> Signs:
 
 def all_sign_vectors(l: int):
     """All 2^l sign vectors, all-minus first, in deterministic order."""
-    out = []
-    for bits in range(1 << l):
-        out.append(tuple(-1 if bits & (1 << k) == 0 else 1 for k in range(l)))
-    return sorted(out)
+    return list(itertools.product((-1, 1), repeat=l))
 
 
 def reflect_signs(i: int, eps: Signs, cartan: CartanMatrix) -> Signs:

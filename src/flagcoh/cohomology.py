@@ -4,9 +4,11 @@ Graph edges become matrix entries +-2, one sign kept per edge.  Signs are
 solved over GF(2) so that consecutive differentials compose to zero:
 every complete diamond (the two cover paths through a length-2 Bruhat
 interval) contributes one parity equation, and a spanning forest of the
-graph is gauged to +.  One numpy unit propagation over the whole graph
-fixes every sign these force; GF(2) elimination sees only the edges left
-unknown.  The signs are an int8 array beside the edge array.
+graph is gauged to +.  The gauge is the row order of the edge array: the
+forest takes the rows that join two components in that order.  One numpy
+unit propagation over the whole graph fixes every sign these force; GF(2)
+elimination sees only the edges left unknown.  The signs are an int8 array
+beside the edge array.
 
 The differential only has entries on graph edges, so the complex is
 block-diagonal over the graph's connected components, and one join of the
@@ -21,12 +23,12 @@ only when every nonzero Smith divisor of each +-1 layer block is odd
 (B = U D V with U, V unimodular, hence invertible mod 2, so this says
 rank_Q B = rank_GF2 B).  Round r tries kernel combination r of every
 component not yet accepted: one smith_blocks call reduces all their
-(component, layer) blocks at once, each entry labelled by its block, so
-each block keeps its own divisors.  A component fails only once all 2^k
-combinations are tried, so Unsolvable means that no valid signs exist; it
-names the least failing component, as a loop over them in order would.
-The accepted diagonals, doubled, are the Smith forms of the +-2 blocks, so
-cohomology only sums them."""
+(component, layer) blocks at once, passed only those components' entries,
+each labelled by its block, so each block keeps its own divisors.  A
+component fails only once all 2^k combinations are tried, so Unsolvable
+means that no valid signs exist; it names the least failing component, as
+a loop over them in order would.  The accepted diagonals, doubled, are the
+Smith forms of the +-2 blocks, so cohomology only sums them."""
 
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blowup import Signs, _coerce_group, format_signs, sign_vector
+from .blowup import Signs, _coerce_group, format_signs
 from .errors import DiamondViolation, Unsolvable
 from .graph import IncidenceGraph, build_graph, spanning_forest
 from .snf import smith_blocks
@@ -154,49 +156,45 @@ def _solve_gf2(equations, nvars: int) -> tuple[int, list[int]] | None:
     return fill(0, False), kernel
 
 
-def assign_signs(graph: IncidenceGraph, gauge: str = "forward") -> ChainComplex:
+def assign_signs(graph: IncidenceGraph) -> ChainComplex:
     """Pick +-2 per edge so the differential squares to zero, then verify.
 
-    gauge picks the spanning-forest orientation ("forward" or "reverse" cover
-    order); any valid gauge must yield the same cohomology.
-    Round r reduces the layer blocks of every component that no earlier
-    round accepted under its kernel combination r, in one smith_blocks
-    call; a component fails once all 2^k combinations are tried, and the
+    The gauge is the row order of graph.edges: the spanning forest takes the
+    rows that join two components in that order (reversing the rows gives
+    the other gauge, with the same cohomology).  Round r reduces the layer
+    blocks of every component that no earlier round accepted under its
+    kernel combination r, passing smith_blocks only those components'
+    entries; a component fails once all 2^k combinations are tried, and the
     least failing component is the one named.
     """
     edges = graph.edges
-    scan = np.arange(len(edges))
-    if gauge == "reverse":
-        scan = scan[::-1]
-    elif gauge != "forward":
-        raise ValueError(f"unknown gauge {gauge!r}")
-
     # spanning forest over the undirected graph: tree edges are forced to +;
-    # a stable sort by component root makes each component's edges, in scan
-    # order, one slice, and likewise its diamonds, in interval order
-    root, tree = spanning_forest(graph.vertex_count, edges[scan])
-    comp = root[edges[scan, 0]]
-    by_comp = np.argsort(comp, kind="stable")
-    scan, tree, comp = scan[by_comp], tree[by_comp], comp[by_comp]
-    paths, bad = _diamonds(edges[scan])
+    # part numbers the components in the order of their least vertices, and
+    # a stable sort by it makes each component's rows, in row order, one
+    # slice, and likewise its diamonds, in interval order
+    root, tree = spanning_forest(graph.vertex_count, edges)
+    part = root[edges[:, 0]]
+    scan = np.argsort(part, kind="stable")
+    rows, tree, part = edges[scan], tree[scan], part[scan]
+    part = np.cumsum(np.diff(part, prepend=part[:1]) != 0, dtype=np.int32)
+    paths, bad = _diamonds(rows)
     if bad:
         raise DiamondViolation(bad)
     diamonds = paths.reshape(-1, 4)  # each interval's two paths
-    diamonds = diamonds[np.argsort(comp[diamonds[:, 0]], kind="stable")]
-    heads = np.flatnonzero(np.diff(comp, prepend=-1))
-    edge_cuts = heads.tolist() + [comp.size]
-    diamond_cuts = np.searchsorted(comp[diamonds[:, 0]], comp[heads]).tolist() + [len(diamonds)]
+    diamonds = diamonds[np.argsort(part[diamonds[:, 0]], kind="stable")]
+    count = int(part.max(initial=-1)) + 1
+    edge_cuts = np.searchsorted(part, np.arange(count + 1)).tolist()
+    diamond_cuts = np.searchsorted(part[diamonds[:, 0]], np.arange(count + 1)).tolist()
 
     value = _propagate(np.where(tree, 0, -1).astype(np.int8), diamonds)
     # each component's GF(2) solutions, a base and a kernel basis: the
     # propagated values where they fixed every sign (settled, base None),
     # else _solve_forced's; none for an even settled diamond or a clash
-    count, sizes = len(edge_cuts) - 1, np.diff(edge_cuts)
     spans = [slice(a, b) for a, b in zip(edge_cuts, edge_cuts[1:])]
-    unknown = np.add.reduceat(value < 0, edge_cuts[:-1]) > 0
+    unknown = np.bincount(part[value < 0], minlength=count) > 0
     settled = ~unknown
-    even = np.flatnonzero((np.bitwise_xor.reduce(value[diamonds], axis=1) & 1) == 0)
-    settled[np.searchsorted(diamond_cuts, even, "right") - 1] = False
+    even = (np.bitwise_xor.reduce(value[diamonds], axis=1) & 1) == 0
+    settled[part[diamonds[even, 0]]] = False
     solved = {c: (None, []) for c in np.flatnonzero(settled).tolist()}
     for c in np.flatnonzero(unknown).tolist():
         local = diamonds[diamond_cuts[c] : diamond_cuts[c + 1]] - edge_cuts[c]
@@ -204,7 +202,7 @@ def assign_signs(graph: IncidenceGraph, gauge: str = "forward") -> ChainComplex:
             solved[c] = got
 
     def where(c: int) -> str:
-        first = word_label(graph.group.word(int(edges[scan[spans[c]]].min())))
+        first = word_label(graph.group.word(int(rows[spans[c]].min())))
         return f"{graph.group.lie_type} eps={format_signs(graph.eps)}, component of {first}"
 
     failed = {
@@ -213,8 +211,7 @@ def assign_signs(graph: IncidenceGraph, gauge: str = "forward") -> ChainComplex:
     # round r writes kernel combination r of every component still pending
     # into value, and one elimination reduces their (component, layer) blocks
     top = len(graph.group.length_distribution()) - 1
-    part = np.repeat(np.arange(count, dtype=np.int32), sizes)
-    labels = part * top + graph.group._lengths[edges[scan, 0]]
+    labels = part * top + graph.group._lengths[rows[:, 0]]
     smith: list[list[int]] = [[] for _ in range(top)]
     combo, pending = 0, sorted(solved)
     while pending:
@@ -223,9 +220,10 @@ def assign_signs(graph: IncidenceGraph, gauge: str = "forward") -> ChainComplex:
             if base is not None:
                 for a, vec in enumerate(kernel):
                     base ^= vec if combo >> a & 1 else 0
-                value[spans[c]] = _bits(base, sizes[c])
-        vals = (1 - 2 * value) * np.isin(part, pending)  # 0 is no entry
-        diags = smith_blocks(edges[scan, 1], edges[scan, 0], vals, labels, count * top)
+                value[spans[c]] = _bits(base, edge_cuts[c + 1] - edge_cuts[c])
+        take = np.concatenate([np.arange(*edge_cuts[c : c + 2], dtype=np.int32) for c in pending])
+        vals = 1 - 2 * value[take]
+        diags = smith_blocks(rows[take, 1], rows[take, 0], vals, labels[take], count * top)
         left = []
         for c in pending:
             blocks = diags[c * top : (c + 1) * top]
@@ -325,9 +323,8 @@ def _verify_square_zero(graph: IncidenceGraph, paths, signs) -> None:
         )
 
 
-def complex_for(group_or_type, eps, gauge: str = "forward") -> ChainComplex:
-    group = _coerce_group(group_or_type)
-    return assign_signs(build_graph(group, sign_vector(eps, group.rank)), gauge)
+def complex_for(group_or_type, eps) -> ChainComplex:
+    return assign_signs(build_graph(group_or_type, eps))
 
 
 def cohomology_of_complex(cc: ChainComplex) -> CohomologyGroups:
@@ -343,9 +340,9 @@ def cohomology_of_complex(cc: ChainComplex) -> CohomologyGroups:
     return CohomologyGroups(tuple(groups))
 
 
-def integral_cohomology(group_or_type, eps, gauge: str = "forward") -> CohomologyGroups:
+def integral_cohomology(group_or_type, eps) -> CohomologyGroups:
     """Cohomology of the signed complex: free rank + divisors per degree."""
-    return cohomology_of_complex(complex_for(group_or_type, eps, gauge))
+    return cohomology_of_complex(complex_for(group_or_type, eps))
 
 
 def rational_betti(group_or_type, eps) -> tuple[int, ...]:

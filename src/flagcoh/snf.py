@@ -15,13 +15,13 @@ entry reaches 2^16, below which int64 cannot overflow; smith_diagonal
 reduces what is left, usually nothing.
 
 smith_diagonal keeps rows as {column: entry} dicts of Python integers, and
-also reads dense rows.  Its pivot is the first ±1 entry when one exists,
-and otherwise an entry of least absolute value.  Row operations clear the
-pivot's column; column operations, which then touch the pivot row only,
-clear its row.  A pivot that is not a unit is recorded only once no row
-holds an entry it does not divide (it takes such a row in and picks again),
-so each recorded pivot divides all that is left and the divisors form a
-chain.
+also reads dense rows.  Its pivot is the first entry of least absolute
+value in row order, so the first ±1 entry when one exists.  Row operations
+clear the pivot's column; column operations, which then touch the pivot
+row only, clear its row.  A pivot that is not a unit is recorded only once
+no row holds an entry it does not divide (it takes such a row in and picks
+again), so each recorded pivot divides all that is left and the divisors
+form a chain.
 """
 
 from __future__ import annotations
@@ -39,10 +39,8 @@ def smith_diagonal(rows) -> list[int]:
     a = {i: r for i, r in a.items() if r}
     diag: list[int] = []
     while a:
-        units = ((i, j) for i, row in a.items() for j, v in row.items() if v in (1, -1))
-        r, c = next(units, None) or min(
-            ((i, j) for i, row in a.items() for j in row), key=lambda ij: abs(a[ij[0]][ij[1]])
-        )
+        entries = ((i, j) for i, row in a.items() for j in row)
+        r, c = min(entries, key=lambda ij: abs(a[ij[0]][ij[1]]))
         prow = a[r]
         p = prow[c]
         # clear column c; a nonzero remainder is smaller than p, so pick again
@@ -82,7 +80,7 @@ def smith_diagonal(rows) -> list[int]:
 
 
 def rank(rows) -> int:
-    return len([d for d in smith_diagonal(rows) if d])
+    return len(smith_diagonal(rows))
 
 
 _BOUND = 1 << 16  # below it, M + P * M^2 < 2^63 for any P < 2^30 pivots

@@ -155,15 +155,15 @@ def test_torsion_is_two_primary():
 
 
 def test_gauge_independence():
-    for name, eps in [("A2", "--"), ("A3", "---"), ("B3", "---"), ("G2", "--")]:
-        fwd = integral_cohomology(name, eps, "forward").groups
-        rev = integral_cohomology(name, eps, "reverse").groups
-        assert fwd == rev
-
-
-def test_unknown_gauge_rejected():
-    with pytest.raises(ValueError):
-        complex_for("A2", "--", gauge="sideways")
+    # the gauge is the row order of the edges: reversing the rows picks
+    # other tree edges, and the cohomology and Smith forms must not move
+    for name in ["A3", "B3", "C3", "G2", "D4"]:
+        for eps in all_sign_vectors(int(name[1])):
+            g = build_graph(name, eps)
+            fwd = assign_signs(g)
+            rev = assign_signs(dataclasses.replace(g, edges=g.edges[::-1]))
+            assert cohomology_of_complex(fwd).groups == cohomology_of_complex(rev).groups
+            assert fwd.smith == rev.smith, (name, eps)
 
 
 def test_degree_zero_and_top_generators_pair_with_counts():
@@ -384,6 +384,32 @@ def test_components_that_reject_kernel_combination_0_match_the_per_component_sol
         assert len(calls) == 2, (name, len(calls))
         assert cc.smith == smith, name
         assert cc.signs.tobytes() == signs.tobytes(), name
+
+
+def test_search_rounds_pass_only_the_pending_components(monkeypatch):
+    # round 1 gets exactly the edges of the components whose blocks held an
+    # even divisor in round 0, in round 0's order, and no zero entries
+    for name, eps in [("B4", "----"), ("F4", "----"), ("D5", "-----")]:
+        g = build_graph(name, eps)
+        top = len(g.group.length_distribution()) - 1
+        calls = []
+
+        def spy(*args):
+            calls.append([np.asarray(a) for a in args[:4]])
+            calls[-1].append(smith_blocks(*args))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(cohomology, "smith_blocks", spy)
+        assign_signs(g)
+        (rows0, cols0, vals0, labels0, diags0), (rows1, cols1, vals1, labels1, _) = calls
+        pending = sorted({b // top for b, diag in enumerate(diags0) if any(d % 2 == 0 for d in diag)})
+        assert len(vals0) == len(g.edges) and (vals0 != 0).all(), name
+        assert pending and (vals1 != 0).all(), name
+        assert sorted(set((labels1 // top).tolist())) == pending, name
+        mine = np.isin(labels0 // top, pending)
+        assert len(vals1) == mine.sum() < len(vals0), name
+        for got, want in ((rows1, rows0), (cols1, cols0), (labels1, labels0)):
+            assert np.array_equal(got, want[mine]), name
 
 
 def test_settled_component_failure_names_that_component(monkeypatch):
