@@ -13,22 +13,22 @@ beside the edge array.
 The differential only has entries on graph edges, so the complex is
 block-diagonal over the graph's connected components, and one join of the
 edge array on its middle vertex finds the diamonds of every parity
-equation and of the d o d = 0 check.  Each component's GF(2) solutions
-are a base (free variables 0) and a kernel basis: the propagated signs
-alone where propagation left none unknown (the component is settled),
-else those of the elimination.  The diamond equations never see a cycle
-that stays between two adjacent length layers, so its sign product is
-free; but the cell structure has exponent-2 torsion, so signs are accepted
-only when every nonzero Smith divisor of each +-1 layer block is odd
-(B = U D V with U, V unimodular, hence invertible mod 2, so this says
-rank_Q B = rank_GF2 B).  Round r tries kernel combination r of every
-component not yet accepted: one smith_blocks call reduces all their
-(component, layer) blocks at once, passed only those components' entries,
-each labelled by its block, so each block keeps its own divisors.  A
-component fails only once all 2^k combinations are tried, so Unsolvable
-means that no valid signs exist; it names the least failing component, as
-a loop over them in order would.  The accepted diagonals, doubled, are the
-Smith forms of the +-2 blocks, so cohomology only sums them."""
+equation and of the d o d = 0 check.  Each component carries the edges
+propagation left unknown, with the elimination's base (free variables 0)
+and kernel basis over them; a settled component has none.  The diamond
+equations never see a cycle that stays between two adjacent length
+layers, so its sign product is free; but the cell structure has exponent-2
+torsion, so signs are accepted only when every nonzero Smith divisor of
+each +-1 layer block is odd (B = U D V with U, V unimodular, hence
+invertible mod 2, so this says rank_Q B = rank_GF2 B).  Round r tries
+kernel combination r of every component not yet accepted: one
+smith_blocks call reduces all their (component, layer) blocks at once,
+passed only those components' entries, each labelled by its block, so
+each block keeps its own divisors.  A component fails only once all 2^k
+combinations are tried, so Unsolvable means that no valid signs exist; it
+names the least failing component, as a loop over them in order would.
+The accepted diagonals, doubled, are the Smith forms of the +-2 blocks,
+so cohomology only sums them."""
 
 from __future__ import annotations
 
@@ -187,15 +187,15 @@ def assign_signs(graph: IncidenceGraph) -> ChainComplex:
     diamond_cuts = np.searchsorted(part[diamonds[:, 0]], np.arange(count + 1)).tolist()
 
     value = _propagate(np.where(tree, 0, -1).astype(np.int8), diamonds)
-    # each component's GF(2) solutions, a base and a kernel basis: the
-    # propagated values where they fixed every sign (settled, base None),
-    # else _solve_forced's; none for an even settled diamond or a clash
+    # each component's unknown edges with their GF(2) base and kernel basis,
+    # as _solve_forced gives them (a settled component has none); none for
+    # an even settled diamond or a clash
     spans = [slice(a, b) for a, b in zip(edge_cuts, edge_cuts[1:])]
     unknown = np.bincount(part[value < 0], minlength=count) > 0
     settled = ~unknown
     even = (np.bitwise_xor.reduce(value[diamonds], axis=1) & 1) == 0
     settled[part[diamonds[even, 0]]] = False
-    solved = {c: (None, []) for c in np.flatnonzero(settled).tolist()}
+    solved = dict.fromkeys(np.flatnonzero(settled).tolist(), ((), 0, []))
     for c in np.flatnonzero(unknown).tolist():
         local = diamonds[diamond_cuts[c] : diamond_cuts[c + 1]] - edge_cuts[c]
         if (got := _solve_forced(value[spans[c]], local)) is not None:
@@ -209,33 +209,34 @@ def assign_signs(graph: IncidenceGraph) -> ChainComplex:
         c: f"no consistent sign assignment for {where(c)}" for c in range(count) if c not in solved
     }
     # round r writes kernel combination r of every component still pending
-    # into value, and one elimination reduces their (component, layer) blocks
+    # onto its unknown edges, and one elimination reduces their (component,
+    # layer) blocks; a divisor chain holds an even divisor iff its last is even
     top = len(graph.group.length_distribution()) - 1
     labels = part * top + graph.group._lengths[rows[:, 0]]
     smith: list[list[int]] = [[] for _ in range(top)]
     combo, pending = 0, sorted(solved)
     while pending:
         for c in pending:
-            base, kernel = solved[c]
-            if base is not None:
+            free, base, kernel = solved[c]
+            if len(free):
                 for a, vec in enumerate(kernel):
                     base ^= vec if combo >> a & 1 else 0
-                value[spans[c]] = _bits(base, edge_cuts[c + 1] - edge_cuts[c])
+                value[spans[c]][free] = _bits(base, len(free))
         take = np.concatenate([np.arange(*edge_cuts[c : c + 2], dtype=np.int32) for c in pending])
         vals = 1 - 2 * value[take]
         diags = smith_blocks(rows[take, 1], rows[take, 0], vals, labels[take], count * top)
         left = []
         for c in pending:
             blocks = diags[c * top : (c + 1) * top]
-            k = next((k for k, diag in enumerate(blocks) if any(d % 2 == 0 for d in diag)), None)
+            k = next((k for k, diag in enumerate(blocks) if diag and diag[-1] % 2 == 0), None)
             if k is None:
                 for k, diag in enumerate(blocks):
                     smith[k] += [2 * d for d in diag]
-            elif combo + 1 < 1 << len(solved[c][1]):
+            elif combo + 1 < 1 << len(solved[c][2]):
                 left.append(c)
             else:
                 failed[c] = (
-                    f"sign assignment for {where(c)}: none of the 2^{len(solved[c][1])} kernel "
+                    f"sign assignment for {where(c)}: none of the 2^{len(solved[c][2])} kernel "
                     f"combinations reaches the mod-2 rank of the C^{k} -> C^{k + 1} block"
                 )
         least = min(failed, default=count)  # a component past it is never named
@@ -286,10 +287,11 @@ def _bits(packed: int, n: int) -> np.ndarray:
     return np.unpackbits(raw, count=n, bitorder="little").view(np.int8)
 
 
-def _solve_forced(value: np.ndarray, diamonds: np.ndarray) -> tuple[int, list[int]] | None:
-    """_solve_gf2's answer for the diamond equations plus the edges value fixes,
-    from eliminating only the unknown edges; None if they clash (a known
-    diamond that is even joins the system as the equation 0 = 1)."""
+def _solve_forced(value: np.ndarray, diamonds: np.ndarray):
+    """free, the positions of the edges value leaves unknown, then _solve_gf2's
+    base and kernel over them for the diamond equations plus the edges value
+    fixes (bit q is edge free[q]); None if they clash (a known diamond that is
+    even joins the system as the equation 0 = 1)."""
     known = value[diamonds]
     keep = (known < 0).any(axis=1) | (known.sum(axis=1) % 2 == 0)
     free = np.flatnonzero(value < 0)
@@ -297,15 +299,7 @@ def _solve_forced(value: np.ndarray, diamonds: np.ndarray) -> tuple[int, list[in
     rhs = (1 - known[keep].clip(0).sum(axis=1) % 2).tolist()
     equations = [(sum(1 << q for q in row if q >= 0), r) for row, r in zip(label, rhs)]
     solved = _solve_gf2(equations, len(free))
-    if solved is None:
-        return None
-
-    def expand(vec: int, forced: bool = False) -> int:  # bit q of vec is edge free[q]
-        out = (value == 1) if forced else np.zeros(len(value), bool)
-        out[free[_bits(vec, len(free)) == 1]] = True
-        return int.from_bytes(np.packbits(out, bitorder="little").tobytes(), "little")
-
-    return expand(solved[0], True), [expand(vec) for vec in solved[1]]
+    return None if solved is None else (free, *solved)
 
 
 def _verify_square_zero(graph: IncidenceGraph, paths, signs) -> None:

@@ -43,7 +43,7 @@ class SpectralData:
     def make(cls, values) -> "SpectralData":
         """Sort and recentre to zero sum."""
         lam = sorted(float(x) for x in values)
-        mean = sum(lam) / len(lam)
+        mean = sum(lam) / max(len(lam), 1)  # [] reaches __post_init__'s check
         return cls(tuple(x - mean for x in lam))
 
     @property

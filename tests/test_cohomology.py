@@ -255,14 +255,15 @@ def test_broken_diamond_raises_diamond_violation():
 def test_propagation_and_residual_solve_match_the_full_gf2_system():
     # the full system is one (1 << p, 0) per tree edge and one four-bit mask
     # per diamond; propagation plus the solve over the edges it leaves unknown
-    # must give the same base solution and kernel basis, edge for edge
+    # must give the same base solution and kernel basis, edge for edge, once
+    # the forced edges and the bits placed at free are put together
     cases = [
         (name, eps, gauge)
         for name in ["A3", "B3", "C3", "G2", "D4", "B4", "C4"]
         for eps in all_sign_vectors(int(name[1]))
         for gauge in ("forward", "reverse")
     ]
-    residual = set()
+    residual, settled = set(), 0
     for name, eps, gauge in cases:
         g = build_graph(name, eps)
         scan = g.edges[::-1] if gauge == "reverse" else g.edges
@@ -271,10 +272,21 @@ def test_propagation_and_residual_solve_match_the_full_gf2_system():
         full = [(1 << p, 0) for p in np.flatnonzero(tree).tolist()]
         full += [(sum(1 << p for p in row), 1) for row in diamonds.tolist()]
         value = cohomology._propagate(np.where(tree, 0, -1).astype(np.int8), diamonds)
-        base, kernel = cohomology._solve_forced(value, diamonds)
-        assert (base, kernel) == cohomology._solve_gf2(full, len(scan)), (name, eps, gauge)
-        if (value < 0).any() and kernel:
+        free, base, kernel = cohomology._solve_forced(value, diamonds)
+        assert np.array_equal(free, np.flatnonzero(value < 0)), (name, eps, gauge)
+        if not free.size:
+            assert (base, kernel) == (0, []), (name, eps, gauge)
+            settled += 1
+
+        def on_edges(vec):  # bit q of vec is edge free[q]
+            return sum(1 << p for q, p in enumerate(free.tolist()) if vec >> q & 1)
+
+        forced = sum(1 << p for p in np.flatnonzero(value == 1).tolist())
+        got = forced | on_edges(base), [on_edges(vec) for vec in kernel]
+        assert got == cohomology._solve_gf2(full, len(scan)), (name, eps, gauge)
+        if free.size and kernel:
             residual.add((name, eps))
+    assert settled  # e.g. A3 ---, where propagation fixes every sign
     # these keep unknown edges after propagation and a nonzero kernel
     for name, eps in [("B3", "---"), ("B4", "----"), ("B4", "+---"), ("B4", "---+"),
                       ("C4", "----"), ("D4", "----")]:
@@ -322,10 +334,10 @@ def test_settled_components_take_one_smith_form_per_layer(monkeypatch):
 
 def _solved_by_component(g):
     """The sign solve one component at a time, in assign_signs's order: the
-    kernel combinations of _solve_forced's solution in turn, each layer
-    block checked by smith_diagonal on {bottom: sign} rows.  Returns (signs
-    in edge order, pooled doubled diagonals, count of components left with
-    unknown edges, count of components)."""
+    kernel combinations of _solve_forced's solution in turn, written at its
+    unknown edges, each layer block checked by smith_diagonal on {bottom:
+    sign} rows.  Returns (signs in edge order, pooled doubled diagonals,
+    count of components left with unknown edges, count of components)."""
     root, tree = spanning_forest(g.vertex_count, g.edges)
     by_comp = np.argsort(root[g.edges[:, 0]], kind="stable")
     edges, comp = g.edges[by_comp], root[g.edges[by_comp, 0]]
@@ -337,13 +349,15 @@ def _solved_by_component(g):
     for r in roots.tolist():
         mine = np.flatnonzero(comp == r)
         local = diamonds[comp[diamonds[:, 0]] == r] - mine[0]
-        base, kernel = cohomology._solve_forced(value[mine], local)
+        free, base, kernel = cohomology._solve_forced(value[mine], local)
         for combo in range(1 << len(kernel)):
             packed = base
             for a, vec in enumerate(kernel):
                 if combo >> a & 1:
                     packed ^= vec
-            mine_signs = [1 - 2 * (packed >> e & 1) for e in range(len(mine))]
+            mine_value = value[mine]
+            mine_value[free] = [packed >> q & 1 for q in range(len(free))]
+            mine_signs = (1 - 2 * mine_value).tolist()
             blocks = {}
             for (i, j), sign in zip(edges[mine].tolist(), mine_signs):
                 blocks.setdefault(g.group.lengths[i], {}).setdefault(j, {})[i] = sign
@@ -445,8 +459,8 @@ def test_failure_names_the_least_component_across_rounds(monkeypatch):
         solves.append(1)
         if len(solves) == 7:
             return None
-        base, kernel = solve(value, diamonds)
-        return (base, kernel + [1]) if len(solves) == 1 else (base, kernel)
+        free, base, kernel = solve(value, diamonds)
+        return (free, base, kernel + [1]) if len(solves) == 1 else (free, base, kernel)
 
     def even_in_component_0(rows, cols, vals, labels, count):
         rounds.append(np.unique(np.asarray(labels)[np.asarray(vals) != 0] // 9).tolist())

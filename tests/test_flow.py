@@ -28,6 +28,9 @@ def test_spectral_data_validation():
     for values in ([math.nan, 1.0, 2.0], [1e308, -1e308], [math.inf, 1.0], [-math.inf, 0.0, 1.0]):
         with pytest.raises(DegenerateSpectrum):
             SpectralData.make(values)
+    for values in ([], [1.0]):
+        with pytest.raises(DegenerateSpectrum, match="need at least two eigenvalues"):
+            SpectralData.make(values)
     s = SpectralData.make([3.0, 1.0, 2.0])
     assert s.eigenvalues == (-1.0, 0.0, 1.0)
     assert s.rank == 2 and s.min_gap == 1.0

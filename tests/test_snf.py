@@ -115,6 +115,8 @@ def _check_blocks(blocks, rng, minors=True):
     got = smith_blocks(*_entries(blocks, rng), len(blocks))
     assert got == [smith_diagonal(rows) for rows in blocks], (blocks, got)
     for rows, d in zip(blocks, got):
+        # a divisibility chain: the sign search reads a block's parity from d[-1]
+        assert all(b % a == 0 for a, b in zip(d, d[1:])), (rows, d)
         for k in range(1, min(len(rows), len(rows[0])) + 1) if minors else ():
             assert _minor_gcd(rows, k) == (prod(d[:k]) if k <= len(d) else 0), (rows, k)
     return got
