@@ -210,10 +210,12 @@ def assign_signs(graph: IncidenceGraph) -> ChainComplex:
     }
     # round r writes kernel combination r of every component still pending
     # onto its unknown edges, and one elimination reduces their (component,
-    # layer) blocks; a divisor chain holds an even divisor iff its last is even
+    # layer) blocks; a block's divisors are its units, all odd, then a chain
+    # that holds an even divisor iff its last one is even
     top = len(graph.group.length_distribution()) - 1
     labels = part * top + graph.group._lengths[rows[:, 0]]
     smith: list[list[int]] = [[] for _ in range(top)]
+    twos = np.zeros(top, np.int64)  # per layer, the accepted units: divisors 2 once doubled
     combo, pending = 0, sorted(solved)
     while pending:
         for c in pending:
@@ -224,15 +226,18 @@ def assign_signs(graph: IncidenceGraph) -> ChainComplex:
                 value[spans[c]][free] = _bits(base, len(free))
         take = np.concatenate([np.arange(*edge_cuts[c : c + 2], dtype=np.int32) for c in pending])
         vals = 1 - 2 * value[take]
-        diags = smith_blocks(rows[take, 1], rows[take, 0], vals, labels[take], count * top)
+        units, rests = smith_blocks(rows[take, 1], rows[take, 0], vals, labels[take], count * top)
+        even: dict[int, int] = {}  # component -> its first layer with an even divisor
+        for b in sorted(rests):
+            if rests[b][-1] % 2 == 0:
+                even.setdefault(b // top, b % top)
+        twos += units.reshape(count, top)[[c for c in pending if c not in even]].sum(axis=0)
+        for b, rest in rests.items():
+            if b // top not in even:
+                smith[b % top] += [2 * d for d in rest]
         left = []
-        for c in pending:
-            blocks = diags[c * top : (c + 1) * top]
-            k = next((k for k, diag in enumerate(blocks) if diag and diag[-1] % 2 == 0), None)
-            if k is None:
-                for k, diag in enumerate(blocks):
-                    smith[k] += [2 * d for d in diag]
-            elif combo + 1 < 1 << len(solved[c][2]):
+        for c, k in sorted(even.items()):
+            if combo + 1 < 1 << len(solved[c][2]):
                 left.append(c)
             else:
                 failed[c] = (
@@ -252,7 +257,7 @@ def assign_signs(graph: IncidenceGraph) -> ChainComplex:
         graph.eps,
         edges,
         signs,
-        tuple(tuple(sorted(s)) for s in smith),
+        tuple(tuple(sorted(s + [2] * n)) for s, n in zip(smith, twos.tolist())),
     )
 
 

@@ -72,9 +72,14 @@ class TauSignal:
         return acc * np.exp(shift) if shift < 700.0 else acc
 
     def values(self, ts: np.ndarray) -> np.ndarray:
-        ex = np.outer(np.asarray(self.rates), ts)
-        ex -= ex.max(axis=0)
-        return np.asarray(self.coeffs) @ np.exp(ex)
+        """Values on the grid ts, each sample scaled by exp(-its largest
+        exponent) so that none overflows.  That exponent is max(rates) * t
+        for t >= 0 and min(rates) * t for t < 0, bit for bit the largest
+        rounded product rate * t, since rounding is monotone."""
+        rates = np.asarray(self.rates)
+        ex = np.outer(rates, ts)
+        ex -= np.where(ts >= 0, rates.max() * ts, rates.min() * ts)
+        return np.asarray(self.coeffs) @ np.exp(ex, out=ex)
 
 
 def default_higher_times(spec: SpectralData) -> tuple[float, ...]:
@@ -117,11 +122,12 @@ def tau_signal(
     if cols is None:
         raise ValueError(f"unknown coset {coset!r}")
     weight = [math.exp(sum(c * x**k for k, c in enumerate(higher_times, start=2))) for x in lam]
+    gap = [[abs(a - b) for b in lam] for a in lam]
     rates, coeffs = [], []
     for inside in itertools.combinations(range(n), j):
         rest = [b for b in range(n) if b not in inside]
         coeff = math.prod(weight[a] for a in inside)
-        coeff /= math.prod(abs(lam[a] - lam[b]) for a in inside for b in rest)
+        coeff /= math.prod(gap[a][b] for a in inside for b in rest)
         if coset == "identity":
             coeff *= math.prod(lam[b] ** j for b in rest)
         rates.append(float(sum(lam[a] for a in inside)))

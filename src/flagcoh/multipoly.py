@@ -28,6 +28,14 @@ class MultiPoly:
                 self.terms[exp] = c
 
     @classmethod
+    def _exact(cls, vars: tuple, terms: dict) -> "MultiPoly":
+        """A result of exact arithmetic, taken as it is: int exponent tuples
+        that fit vars, nonzero Fraction coefficients."""
+        p = cls.__new__(cls)
+        p.vars, p.terms = vars, terms
+        return p
+
+    @classmethod
     def constant(cls, vars, c) -> "MultiPoly":
         return cls(vars, {(0,) * len(tuple(vars)): Fraction(c)})
 
@@ -61,10 +69,10 @@ class MultiPoly:
         out = dict(self.terms)
         for exp, c in other.terms.items():
             out[exp] = out.get(exp, 0) + c
-        return MultiPoly(self.vars, out)
+        return MultiPoly._exact(self.vars, {e: c for e, c in out.items() if c})
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._exact(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
@@ -78,7 +86,7 @@ class MultiPoly:
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
-        return MultiPoly(self.vars, out)
+        return MultiPoly._exact(self.vars, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -155,7 +163,9 @@ def leading_minors(matrix: list[list[MultiPoly]]) -> list[MultiPoly]:
     B = 1 + sum over rows of the row's largest exponent: a monomial of a
     minor multiplies one monomial from each of its rows, so no exponent of
     it exceeds B - 1, no digit carries, and a product of monomials is one
-    int addition of their keys."""
+    int addition of their keys.  Each entry is kept as a term list and its
+    negation, so the Laplace sign of a step picks a list; the minors are
+    built from the exact sums, with no check of their terms."""
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
@@ -173,10 +183,11 @@ def leading_minors(matrix: list[list[MultiPoly]]) -> list[MultiPoly]:
     def unpack(key):
         return tuple(key // base**i % base for i in range(len(vars)))
 
-    rows = [
-        [{pack(e): c.numerator * (den // c.denominator) for e, c in x.terms.items()} for x in row]
-        for row in matrix
-    ]
+    def signed(x):  # the entry's (key, coefficient * den) list and its negation
+        plus = [(pack(e), c.numerator * (den // c.denominator)) for e, c in x.terms.items()]
+        return plus, [(e, -c) for e, c in plus]
+
+    rows = [[signed(x) for x in row] for row in matrix]
     dp = {0: {0: 1}}
     minors = []
     for r, row in enumerate(rows):
@@ -188,18 +199,18 @@ def leading_minors(matrix: list[list[MultiPoly]]) -> list[MultiPoly]:
                 if mask & bit:
                     used_below += 1
                     continue
-                if entry:
+                if entry[0]:
                     acc = ndp.setdefault(mask | bit, {})
-                    sign = -1 if (r + used_below) % 2 else 1
-                    for e1, c1 in minor.items():
-                        c1 *= sign
-                        for e2, c2 in entry.items():
+                    get = acc.get
+                    for e2, c2 in entry[(r + used_below) % 2]:
+                        for e1, c1 in minor.items():
                             e = e1 + e2
-                            acc[e] = acc.get(e, 0) + c1 * c2
+                            acc[e] = get(e, 0) + c1 * c2
         dp = {mask: nz for mask, acc in ndp.items() if (nz := {e: c for e, c in acc.items() if c})}
         scale = den ** (r + 1)
         top = dp.get((1 << (r + 1)) - 1, {})
-        minors.append(MultiPoly(vars, {unpack(e): Fraction(c, scale) for e, c in top.items()}))
+        terms = {unpack(e): Fraction(c, scale) for e, c in top.items()}
+        minors.append(MultiPoly._exact(vars, terms))
     return minors
 
 

@@ -86,12 +86,13 @@ def rank(rows) -> int:
 _BOUND = 1 << 16  # below it, M + P * M^2 < 2^63 for any P < 2^30 pivots
 
 
-def smith_blocks(rows, cols, vals, labels, count: int) -> list[list[int]]:
-    """smith_diagonal of each block of a block-diagonal matrix: entry
+def smith_blocks(rows, cols, vals, labels, count: int) -> tuple[np.ndarray, dict[int, list[int]]]:
+    """smith_diagonal of each block of a block-diagonal matrix, as (units,
+    rests): block b's diagonal is [1] * units[b] + rests.get(b, []).  Entry
     (rows[e], cols[e]) = vals[e] lies in block labels[e] < count; blocks
-    share no row or column, and no (row, column) pair repeats.  Each unit
-    pivot of the rounds is one divisor 1 of its own block, and
-    smith_diagonal reduces what the rounds leave of each block."""
+    share no row or column, and no (row, column) pair repeats.  units counts
+    each block's unit pivots of the rounds, and rests holds smith_diagonal of
+    what they leave, for the blocks that keep an entry (usually none)."""
     vals = np.asarray(vals, np.int64)
     live = np.flatnonzero(vals)
     nrow, ncol = (int(np.max(ids, initial=-1)) + 1 for ids in (rows, cols))
@@ -107,13 +108,10 @@ def smith_blocks(rows, cols, vals, labels, count: int) -> list[list[int]]:
     while (pivot := _pivots(row, col, val, nrow, ncol)).size:
         units += np.bincount(row_label[row[pivot]], minlength=count)
         row, col, val = _eliminate(row, col, val, pivot, nrow, ncol)
-    diags = [[1] * u for u in units.tolist()]
     rest: dict[int, dict[int, dict[int, int]]] = defaultdict(lambda: defaultdict(dict))
     for b, i, j, v in zip(row_label[row].tolist(), row.tolist(), col.tolist(), val.tolist()):
         rest[b][i][j] = v
-    for b, block in rest.items():
-        diags[b] += smith_diagonal(block.values())
-    return diags
+    return units, {b: smith_diagonal(block.values()) for b, block in rest.items()}
 
 
 def _pivots(row, col, val, nrow: int, ncol: int) -> np.ndarray:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .cartan import LieType
 from .errors import OddSquaredDegree, UnsupportedType, ZeroPolynomial
@@ -55,18 +56,22 @@ def _shift(expr: HExpr) -> HExpr:
 
 
 def _h_series(vars, weights, top: int) -> list[MultiPoly]:
-    """h_0..h_top over the active variables via k h_k = sum j t_j h_{k-j}."""
-    hs = [MultiPoly.constant(vars, 1)]
-    gens = [
-        (w, MultiPoly.variable(vars, v)) for v, w in zip(vars, weights) if w
+    """h_0..h_top over vars in closed form, variable t_j of weight w_j (its
+    index, or 0 for s): h_m is the z^m coefficient of exp(sum_j t_j z^w_j),
+    so each exponent vector a of weight sum_j w_j a_j = m has coefficient
+    1 / prod_j a_j!, and a variable of weight 0 appears in no h_m."""
+    # layers[m] maps an exponent prefix of weight m to prod a_j! over it
+    layers = [{(): 1}] + [{} for _ in range(top)]
+    for w in weights:
+        grown: list[dict[tuple[int, ...], int]] = [{} for _ in range(top + 1)]
+        for m, prefixes in enumerate(layers):
+            for exp, d in prefixes.items():
+                for a in range((top - m) // w + 1 if w else 1):
+                    grown[m + a * w][exp + (a,)] = d * factorial(a)
+        layers = grown
+    return [
+        MultiPoly._exact(vars, {e: Fraction(1, d) for e, d in terms.items()}) for terms in layers
     ]
-    for k in range(1, top + 1):
-        acc = MultiPoly.zero(vars)
-        for w, var in gens:
-            if w <= k:
-                acc = acc + var * hs[k - w] * w
-        hs.append(acc * Fraction(1, k))
-    return hs
 
 
 def _polys(rows: list[list[HExpr]], active, with_s: bool = False) -> list[list[MultiPoly]]:

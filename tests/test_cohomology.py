@@ -211,7 +211,7 @@ def test_per_component_snf_matches_dense_snf():
 def test_unsolvable_names_component_layer_and_kernel(monkeypatch):
     # an even divisor at layer 1, which every kernel combination must reject
     def even_at_layer_1(rows, cols, vals, labels, count):
-        return [[2] if b == 1 else [1] for b in range(count)]
+        return np.array([b != 1 for b in range(count)], np.int64), {1: [2]}
 
     monkeypatch.setattr(cohomology, "smith_blocks", even_at_layer_1)
     message = (
@@ -416,7 +416,7 @@ def test_search_rounds_pass_only_the_pending_components(monkeypatch):
         monkeypatch.setattr(cohomology, "smith_blocks", spy)
         assign_signs(g)
         (rows0, cols0, vals0, labels0, diags0), (rows1, cols1, vals1, labels1, _) = calls
-        pending = sorted({b // top for b, diag in enumerate(diags0) if any(d % 2 == 0 for d in diag)})
+        pending = sorted({b // top for b, rest in diags0[1].items() if any(d % 2 == 0 for d in rest)})
         assert len(vals0) == len(g.edges) and (vals0 != 0).all(), name
         assert pending and (vals1 != 0).all(), name
         assert sorted(set((labels1 // top).tolist())) == pending, name
@@ -464,8 +464,12 @@ def test_failure_names_the_least_component_across_rounds(monkeypatch):
 
     def even_in_component_0(rows, cols, vals, labels, count):
         rounds.append(np.unique(np.asarray(labels)[np.asarray(vals) != 0] // 9).tolist())
-        diags = smith_blocks(rows, cols, vals, labels, count)
-        return [[2 * d for d in diag] if b < 9 else diag for b, diag in enumerate(diags)]
+        units, rests = smith_blocks(rows, cols, vals, labels, count)
+        for b in range(9):
+            if diag := [2] * int(units[b]) + [2 * d for d in rests.get(b, [])]:
+                rests[b] = diag
+        units[:9] = 0
+        return units, rests
 
     monkeypatch.setattr(cohomology, "_solve_forced", solve_with_a_failure_at_each_end)
     monkeypatch.setattr(cohomology, "smith_blocks", even_in_component_0)

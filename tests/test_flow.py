@@ -65,6 +65,58 @@ def test_sampled_values_match_scalar():
         assert math.copysign(1, v) == math.copysign(1, direct) or abs(direct) < 1e-12
 
 
+def _signal_by_formula(spec, j, coset):
+    """tau_signal's (rates, coeffs) written out term by term, each gap
+    |lam_a - lam_b| taken afresh, with the same 1e-9 relative cutoff."""
+    lam = spec.eigenvalues
+    n = len(lam)
+    cols = range(n - j, n) if coset == "longest" else range(j)
+    times = default_higher_times(spec)
+    weight = [math.exp(sum(c * x**k for k, c in enumerate(times, start=2))) for x in lam]
+    terms = []
+    for inside in itertools.combinations(range(n), j):
+        rest = [b for b in range(n) if b not in inside]
+        coeff = math.prod(weight[a] for a in inside)
+        coeff /= math.prod(abs(lam[a] - lam[b]) for a in inside for b in rest)
+        if coset == "identity":
+            coeff *= math.prod(lam[b] ** j for b in rest)
+        terms.append((float(sum(lam[a] for a in inside)), (-1) ** (sum(inside) + sum(cols)) * coeff))
+    scale = max(abs(c) for _, c in terms)
+    terms = [(r, c) for r, c in terms if abs(c) > 1e-9 * scale]
+    return tuple(r for r, _ in terms), tuple(c for _, c in terms)
+
+
+def _values_by_max(sig, ts):
+    """Sampled values with each sample's largest exponent found by a max
+    over all rates."""
+    ex = np.outer(np.asarray(sig.rates), ts)
+    ex -= ex.max(axis=0)
+    return np.asarray(sig.coeffs) @ np.exp(ex)
+
+
+@pytest.mark.parametrize("rank", range(1, 7))
+def test_sampled_values_and_terms_match_the_written_out_forms(rank):
+    # the analytic shift max(rates) t (t >= 0) or min(rates) t (t < 0) is
+    # the largest rounded product bit for bit, so the values are identical
+    rng = random.Random(60 + rank)
+    for spec in [_spread_spectrum(rng, rank) for _ in range(3)] + [
+        SpectralData.make(rng.sample(range(-9, 10), rank + 1)) for _ in range(3)
+    ]:
+        window = default_window(spec)
+        grids = (
+            np.linspace(-window, window, 4001),
+            np.linspace(-3.0, 3.0, 7),
+            np.array([0.0, -1e-300, 1e-300, -window, window, 0.5, -0.5]),
+        )
+        assert all((grid == 0.0).any() for grid in grids[1:])
+        for j in range(1, rank + 1):
+            for coset in ("longest", "identity"):
+                sig = tau_signal(spec, j, coset)
+                assert (sig.rates, sig.coeffs) == _signal_by_formula(spec, j, coset)
+                for grid in grids:
+                    assert np.array_equal(sig.values(grid), _values_by_max(sig, grid))
+
+
 def test_a2_bare_trajectory_per_tau():
     # with higher times pinned to zero the t1-line passes the divisor
     # intersection: each tau crosses once, transversally, at t = 0

@@ -112,8 +112,10 @@ def _entries(blocks, rng):
 
 
 def _check_blocks(blocks, rng, minors=True):
-    got = smith_blocks(*_entries(blocks, rng), len(blocks))
+    units, rests = smith_blocks(*_entries(blocks, rng), len(blocks))
+    got = [[1] * u + rests.get(b, []) for b, u in enumerate(units.tolist())]
     assert got == [smith_diagonal(rows) for rows in blocks], (blocks, got)
+    assert all(rests.values()), rests  # only blocks that keep an entry have a rest
     for rows, d in zip(blocks, got):
         # a divisibility chain: the sign search reads a block's parity from d[-1]
         assert all(b % a == 0 for a, b in zip(d, d[1:])), (rows, d)
@@ -176,8 +178,9 @@ def test_entries_past_the_bound_go_to_the_dict_remainder(monkeypatch):
 
 
 def test_no_entries_and_shared_rows():
-    assert smith_blocks([], [], [], [], 0) == []
-    assert smith_blocks([], [], [], [], 2) == [[], []]
-    assert smith_blocks([0, 1], [0, 1], [0, 0], [0, 1], 2) == [[], []]  # zeros are no entries
+    none, zeros = ([], [], [], []), ([0, 1], [0, 1], [0, 0], [0, 1])  # zeros are no entries
+    for args, count in ((none, 0), (none, 2), (zeros, 2)):
+        units, rests = smith_blocks(*args, count)
+        assert units.tolist() == [0] * count and rests == {}
     with pytest.raises(ValueError, match="share a row or a column"):
         smith_blocks([0, 0], [0, 1], [1, 1], [0, 1], 2)

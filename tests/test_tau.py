@@ -127,6 +127,67 @@ def test_leading_minors_without_variables():
         assert minors[k - 1] == _leibniz([row[:k] for row in m[:k]])
 
 
+def _h_recurrence(vars, weights, top):
+    """h_0..h_top through k h_k = sum_j w_j t_j h_{k - w_j}, in MultiPoly
+    arithmetic; a variable of weight 0 takes no part."""
+    hs = [MultiPoly.constant(vars, 1)]
+    gens = [(w, MultiPoly.variable(vars, v)) for v, w in zip(vars, weights) if w]
+    for k in range(1, top + 1):
+        acc = MultiPoly.zero(vars)
+        for w, var in gens:
+            if w <= k:
+                acc = acc + var * hs[k - w] * w
+        hs.append(acc * Fraction(1, k))
+    return hs
+
+
+# the variable sets of the families at rank 7: A, B and C, D with s, and G2
+H_VARIABLE_SETS = {
+    "A": (tuple(range(1, 8)), False),
+    "BC": (tuple(range(1, 14, 2)), False),
+    "D": (tuple(range(1, 12, 2)), True),
+    "G": ((1, 5), False),
+}
+
+
+@pytest.mark.parametrize("family", sorted(H_VARIABLE_SETS))
+def test_h_series_equals_the_recurrence(family):
+    active, with_s = H_VARIABLE_SETS[family]
+    vars = tuple(f"t{j}" for j in active) + (("s",) * with_s)
+    weights = active + (0,) * with_s
+    got = tau._h_series(vars, weights, 14)
+    assert got == _h_recurrence(vars, weights, 14)
+    for h in got:
+        assert h.vars == vars
+        assert all(type(c) is Fraction and c for c in h.terms.values())
+        assert all(len(e) == len(vars) and all(type(a) is int for a in e) for e in h.terms)
+
+
+def test_exact_results_store_no_zero_and_only_fractions():
+    vars = ("x", "y")
+    x, y = (MultiPoly.variable(vars, v) for v in vars)
+    half = MultiPoly(vars, {(0, 1): Fraction(1, 2), (1, 0): 3})
+    assert (x + (-x)).terms == {} and (x - x).terms == {}
+    assert ((x + y) * (x - y) - (x * x - y * y)).terms == {}
+    results = [x + half, half - y, half * half, (x - half) * (x + half), -half]
+    m = [[x, half, y], [x, half, y], [half, y, x * y]]  # two equal rows
+    minors = leading_minors(m)
+    assert minors[0] == x and minors[1].terms == {} and minors[2].terms == {}
+    for p in results + minors:
+        assert p.vars == vars
+        assert all(type(c) is Fraction and c for c in p.terms.values()), p
+    assert leading_minors([[half]])[0] == half
+
+
+def test_multipoly_still_validates_outside_terms():
+    with pytest.raises(ValueError, match="does not fit"):
+        MultiPoly(("x", "y"), {(1,): 1})
+    with pytest.raises(ValueError, match="does not fit"):
+        MultiPoly(("x",), {(1, 0): 1})
+    p = MultiPoly(("x",), {(1,): 2, (0,): 0, (2,): Fraction(0)})
+    assert p.terms == {(1,): Fraction(2)} and type(p.terms[(1,)]) is Fraction
+
+
 def test_h_basics():
     assert complete_homogeneous(0) == MultiPoly.constant(("t1",), 1)
     h2 = complete_homogeneous(2)
@@ -309,14 +370,15 @@ def test_odd_squared_degree_is_reported():
 def _prefix_route(name):
     """(poly, kind) per tau with a determinant of its own for each one: the
     prefix Wronskians of the generator lists, written out here apart from
-    the module's table, and for D the bordered matrix of tau_l squared."""
+    the module's table, and for D the bordered matrix of tau_l squared; the
+    h's come from _h_recurrence, not from the module."""
     t = LieType.parse(name)
     l, fam = t.rank, t.family
     odd = tuple(range(1, 2 * l, 2))
     active = {"A": tuple(range(1, l + 1)), "B": odd, "C": odd, "D": odd[:-1], "G": (1, 5)}[fam]
     with_s = fam == "D"
     vars = tuple(f"t{j}" for j in active) + (("s",) if with_s else ())
-    hs = tau._h_series(vars, active + ((0,) if with_s else ()), max(2 * l, 6))
+    hs = _h_recurrence(vars, active + ((0,) if with_s else ()), max(2 * l, 6))
     one = MultiPoly.constant(vars, 1)
     s = MultiPoly.variable(vars, "s") if with_s else one
 
