@@ -3,12 +3,13 @@
 Graph edges become matrix entries +-2, one sign kept per edge.  Signs are
 solved over GF(2) so that consecutive differentials compose to zero:
 every complete diamond (the two cover paths through a length-2 Bruhat
-interval) contributes one parity equation, and a spanning forest of the
-graph is gauged to +.  The gauge is the row order of the edge array: the
-forest takes the rows that join two components in that order.  One numpy
-unit propagation over the whole graph fixes every sign these force; GF(2)
-elimination sees only the edges left unknown.  The signs are an int8 array
-beside the edge array.
+interval) contributes one parity equation, and the graph's spanning forest
+(IncidenceGraph.forest, built once and shared with components) is gauged
+to +.  The gauge is the row order of the edge array: the forest takes the
+rows that join two components in that order.  One numpy unit propagation
+over the whole graph fixes every sign these force; GF(2) elimination sees
+only the edges left unknown.  The signs are an int8 array beside the edge
+array.
 
 The differential only has entries on graph edges, so the complex is
 block-diagonal over the graph's connected components, and one join of the
@@ -38,7 +39,7 @@ import numpy as np
 
 from .blowup import Signs, _coerce_group, format_signs
 from .errors import DiamondViolation, Unsolvable
-from .graph import IncidenceGraph, build_graph, spanning_forest
+from .graph import IncidenceGraph, build_graph
 from .snf import smith_blocks
 from .weyl import WeylGroup, word_label
 
@@ -168,11 +169,11 @@ def assign_signs(graph: IncidenceGraph) -> ChainComplex:
     least failing component is the one named.
     """
     edges = graph.edges
-    # spanning forest over the undirected graph: tree edges are forced to +;
+    # the graph's spanning forest, undirected: tree edges are forced to +;
     # part numbers the components in the order of their least vertices, and
     # a stable sort by it makes each component's rows, in row order, one
     # slice, and likewise its diamonds, in interval order
-    root, tree = spanning_forest(graph.vertex_count, edges)
+    root, tree = graph.forest
     part = root[edges[:, 0]]
     scan = np.argsort(part, kind="stable")
     rows, tree, part = edges[scan], tree[scan], part[scan]

@@ -5,13 +5,15 @@ one, equal blow-up count, equal accumulated sign vector.  Connectivity is
 taken on the underlying undirected graph.  The edges are one (m, 2) int32
 array of (bottom, top) element-index rows, a mask over the covers in their
 stored (bottom, top) order: the spanning-forest gauge and the sign solve
-read that order as is, and only the export sorts by canonical rank.
+read that order as is, and only the export sorts by canonical rank.  Each
+graph builds its spanning forest once, for components and the gauge.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from .blowup import Signs, _as_tuples, _coerce_group, all_minus, chain_walk, for
 from .weyl import WeylGroup, word_label
 
 
-@dataclass
+@dataclass(frozen=True)
 class IncidenceGraph:
     group: WeylGroup
     eps: Signs
@@ -32,6 +34,11 @@ class IncidenceGraph:
     @property
     def vertex_count(self) -> int:
         return self.group.order
+
+    @cached_property
+    def forest(self) -> tuple[np.ndarray, np.ndarray]:
+        """spanning_forest of the edges, built once per graph."""
+        return spanning_forest(self.vertex_count, self.edges)
 
     def edge_words(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         word = self.group.word
@@ -62,7 +69,7 @@ def spanning_forest(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     label, tree = np.arange(n, dtype=np.int32), np.zeros(len(edges), bool)
     pos, ends = np.arange(len(edges), dtype=np.int32), np.asarray(edges, np.int32).T
     while pos.size:
-        sides = label[ends]
+        sides = label.take(ends)
         live = sides[0] != sides[1]
         pos, ends, sides = pos[live], ends[:, live], sides[:, live]
         best = np.full(n, len(edges), np.int32)
@@ -86,7 +93,7 @@ def spanning_forest(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def components(graph: IncidenceGraph) -> list[tuple[int, ...]]:
     """Undirected connected components, each a sorted vertex tuple, sorted."""
-    root = spanning_forest(graph.vertex_count, graph.edges)[0]
+    root = graph.forest[0]
     by_root = np.argsort(root, kind="stable")
     starts = np.flatnonzero(np.diff(root[by_root], prepend=-1))
     return [tuple(vs.tolist()) for vs in np.split(by_root, starts[1:])]

@@ -96,8 +96,7 @@ def smith_blocks(rows, cols, vals, labels, count: int) -> tuple[np.ndarray, dict
     vals = np.asarray(vals, np.int64)
     live = np.flatnonzero(vals)
     nrow, ncol = (int(np.max(ids, initial=-1)) + 1 for ids in (rows, cols))
-    index = np.int32 if max(nrow, ncol) < 1 << 31 else np.int64
-    row, col, val = np.asarray(rows, index)[live], np.asarray(cols, index)[live], vals[live]
+    row, col, val = np.asarray(rows, np.intp)[live], np.asarray(cols, np.intp)[live], vals[live]
     labels = np.asarray(labels)[live]
     row_label, col_label = np.zeros(nrow, np.int64), np.zeros(ncol, np.int64)
     row_label[row], col_label[col] = labels, labels

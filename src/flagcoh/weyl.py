@@ -35,7 +35,7 @@ import numpy as np
 
 from .cartan import CartanMatrix, LieType, cartan_matrix, positive_root_count, weyl_order
 from .errors import CapExceeded, InvariantViolated
-from .intmat import Matrix, identity, mat_mul
+from .intmat import Matrix, identity
 
 # the group's tables cost about 70 bytes of peak RSS per element: E7
 # (2,903,040 elements) builds in 0.6 s at 233 MB, 204 MB above the bare
@@ -302,29 +302,26 @@ class WeylGroup:
         """All Bruhat covers i < j (length(j) = length(i) + 1) as two int32
         arrays (bottom i, top j), sorted by (i, j).
 
-        Left lifting property: for w = s p with p = rest[w], the coatoms of
-        w are p and every s v with v a coatom of p and s v > v; built one
-        length layer at a time, each layer's coatoms grouped by element."""
+        w is covered by t w for each reflection t with l(t w) = l(w) + 1.
+        The left table of t_beta (t_beta w_i at i) comes from its parent's in
+        the root walk: beta = s_k(beta') gives t_beta = s_k t_beta' s_k.  Only
+        two rounds of tables are held at once (E7's are 11.6 MB each)."""
         if self._covers is None:
-            off, lengths, left, n = self._offsets, self._lengths, self.left, self.order
-            ptr, coat = np.zeros(2, np.int64), np.zeros(0, np.int64)  # layer 0: e
-            bottoms, tops = [], []
-            for pa, a, b in zip(off, off[1:], off[2:]):
-                ws, ps = np.arange(a, b), self.rest[a:b]
-                lo = ptr[ps - pa]
-                sizes = ptr[ps - pa + 1] - lo
-                pos = np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
-                v = coat[pos]
-                sv = left[np.repeat(self.first[a:b] - 1, sizes), v]
-                up = lengths[sv] > lengths[v]
-                owners = np.concatenate((ws, np.repeat(ws, sizes)[up]))
-                by_owner = np.argsort(owners, kind="stable")
-                coat = np.concatenate((ps, sv[up]))[by_owner]
-                ptr = np.concatenate(([0], np.cumsum(np.bincount(owners - a, minlength=b - a))))
-                bottoms.append(coat)
-                tops.append(owners[by_owner])
-            key = np.sort(np.concatenate(bottoms).astype(np.int64) * n + np.concatenate(tops))
-            self._covers = (key // n).astype(np.int32), (key % n).astype(np.int32)
+            lengths, left, n = self._lengths, self.left, self.order
+            keys, tables = [], {}
+            for walk in _root_rounds(self.cartan):
+                tables = {
+                    root: left[k] if parent is None else left[k].take(tables[parent].take(left[k]))
+                    for root, parent, k in walk
+                }
+                for t in tables.values():
+                    up = np.flatnonzero(lengths.take(t) - lengths == 1)
+                    keys.append(up * n + t.take(up))
+            key = np.concatenate(keys)
+            del keys
+            key.sort()
+            self._covers = np.empty(key.size, np.int32), np.empty(key.size, np.int32)
+            np.divmod(key, n, out=self._covers, casting="unsafe")
         return self._covers
 
     def matrices(self) -> np.ndarray:
@@ -352,35 +349,31 @@ class WeylGroup:
         return self._canonical
 
 
-def _root_reflection_orbit(cartan: CartanMatrix):
-    """Orbit of (positive root, reflection matrix) pairs under the generators."""
-    l = cartan.rank
-    gens = [reflection_matrix(i, cartan) for i in range(1, l + 1)]
-    seen = {}
-    frontier = []
-    for k in range(l):
-        root = tuple(int(c == k) for c in range(l))
-        seen[root] = gens[k]
-        frontier.append(root)
-    while frontier:
+def _root_rounds(cartan: CartanMatrix):
+    """The positive roots, each once, in rounds of (root, parent, k): root =
+    s_k(parent) lies above its parent, a root of the round before, and the
+    first round is the simple roots, with parent None.  A positive root beta
+    that is not simple has <beta, alpha_k^v> > 0 for some k, so s_k beta is a
+    lower positive root, and rising steps alone reach every root."""
+    l, cols = cartan.rank, list(zip(*cartan.entries))
+    walk = [(tuple(int(c == k) for c in range(l)), None, k) for k in range(l)]
+    seen = {root for root, _, _ in walk}
+    while walk:
+        yield walk
         nxt = []
-        for root in frontier:
-            rmat = seen[root]
-            for k in range(l):
-                coeff = sum(cartan[j][k] * root[j] for j in range(l))
-                new = tuple(
-                    x - coeff if c == k else x for c, x in enumerate(root)
-                )
-                if all(x >= 0 for x in new) and new not in seen:
-                    seen[new] = mat_mul(gens[k], mat_mul(rmat, gens[k]))
-                    nxt.append(new)
-        frontier = nxt
-    return sorted(seen.items())
+        for root, _, _ in walk:
+            for k, col in enumerate(cols):
+                coeff = sum(x * c for x, c in zip(root, col))
+                new = root[:k] + (root[k] - coeff,) + root[k + 1 :]
+                if coeff < 0 and new not in seen:
+                    seen.add(new)
+                    nxt.append((new, root, k))
+        walk = nxt
 
 
 def positive_roots(cartan: CartanMatrix) -> list[tuple[int, ...]]:
     """All positive roots in simple-root coordinates, sorted."""
-    return [root for root, _ in _root_reflection_orbit(cartan)]
+    return sorted(root for walk in _root_rounds(cartan) for root, _, _ in walk)
 
 
 @lru_cache(maxsize=None)

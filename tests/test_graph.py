@@ -117,6 +117,24 @@ def test_spanning_forest_matches_a_sequential_union_find():
             assert (root.tolist(), tree.tolist()) == _sequential_forest(n, scan), label
 
 
+def test_one_forest_per_graph(monkeypatch):
+    # components and the sign solve read one forest; a replaced graph builds its own
+    import flagcoh.graph
+    from flagcoh.cohomology import assign_signs
+
+    calls = []
+    real = flagcoh.graph.spanning_forest
+    monkeypatch.setattr(
+        flagcoh.graph, "spanning_forest", lambda n, edges: calls.append(len(edges)) or real(n, edges)
+    )
+    g = build_graph("B3", "---")
+    components(g)
+    assign_signs(g)
+    assert calls == [len(g.edges)]
+    assign_signs(dataclasses.replace(g, edges=g.edges[::-1]))
+    assert calls == [len(g.edges)] * 2
+
+
 def test_components_partition_vertices():
     g = build_graph("A3", "---")
     comps = components(g)

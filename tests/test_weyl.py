@@ -1,18 +1,19 @@
 import random
 
+import numpy as np
 import pytest
 
 from flagcoh.cartan import cartan_matrix, positive_root_count, weyl_order
 from flagcoh.errors import CapExceeded
 from flagcoh.intmat import identity, mat_mul
 from flagcoh.weyl import (
-    _root_reflection_orbit,
     all_reduced_words,
     bruhat_cover,
     enumerate_group,
     longest_element,
     positive_roots,
     random_reduced_word,
+    reflection_matrix,
     simple_reflection,
     word_matrix,
 )
@@ -167,6 +168,39 @@ def test_cover_pairs_count_a2():
     assert len(g.cover_pairs()) == 8
 
 
+def _root_reflection_orbit(cartan):
+    """Orbit of (positive root, reflection matrix) pairs under the generators."""
+    l = cartan.rank
+    gens = [reflection_matrix(i, cartan) for i in range(1, l + 1)]
+    seen = {}
+    frontier = []
+    for k in range(l):
+        root = tuple(int(c == k) for c in range(l))
+        seen[root] = gens[k]
+        frontier.append(root)
+    while frontier:
+        nxt = []
+        for root in frontier:
+            rmat = seen[root]
+            for k in range(l):
+                coeff = sum(cartan[j][k] * root[j] for j in range(l))
+                new = tuple(
+                    x - coeff if c == k else x for c, x in enumerate(root)
+                )
+                if all(x >= 0 for x in new) and new not in seen:
+                    seen[new] = mat_mul(gens[k], mat_mul(rmat, gens[k]))
+                    nxt.append(new)
+        frontier = nxt
+    return sorted(seen.items())
+
+
+@pytest.mark.parametrize("name", ["A1", "A6", "B5", "C5", "D6", "E6", "E7", "E8", "F4", "G2"])
+def test_positive_roots_match_the_reflection_orbit(name):
+    # the rising root walk reaches every root the full orbit does
+    c = cartan_matrix(name)
+    assert positive_roots(c) == [root for root, _ in _root_reflection_orbit(c)]
+
+
 def _reflection_covers(g):
     """Covers by definition: (i, j) with w_j t = w_i for a reflection t and
     w_i one shorter than w_j."""
@@ -186,6 +220,43 @@ def _reflection_covers(g):
 def test_cover_pairs_match_reflection_definition(name):
     g = enumerate_group(name)
     assert g.cover_pairs() == _reflection_covers(g)
+
+
+def _left_lifting_covers(g):
+    """Covers by the left lifting property, one length layer at a time: for
+    w = s p with p = rest[w], the coatoms of w are p and every s v with v a
+    coatom of p and s v > v; each layer's coatoms grouped by element."""
+    off, lengths, left, n = g._offsets, g._lengths, g.left, g.order
+    ptr, coat = np.zeros(2, np.int64), np.zeros(0, np.int64)  # layer 0: e
+    bottoms, tops = [], []
+    for pa, a, b in zip(off, off[1:], off[2:]):
+        ws, ps = np.arange(a, b), g.rest[a:b]
+        lo = ptr[ps - pa]
+        sizes = ptr[ps - pa + 1] - lo
+        pos = np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+        v = coat[pos]
+        sv = left[np.repeat(g.first[a:b] - 1, sizes), v]
+        up = lengths[sv] > lengths[v]
+        owners = np.concatenate((ws, np.repeat(ws, sizes)[up]))
+        by_owner = np.argsort(owners, kind="stable")
+        coat = np.concatenate((ps, sv[up]))[by_owner]
+        ptr = np.concatenate(([0], np.cumsum(np.bincount(owners - a, minlength=b - a))))
+        bottoms.append(coat)
+        tops.append(owners[by_owner])
+    key = np.sort(np.concatenate(bottoms).astype(np.int64) * n + np.concatenate(tops))
+    return (key // n).astype(np.int32), (key % n).astype(np.int32)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["A1", "A2", "A3", "A4", "A5", "A6", "A7", "B2", "B3", "B4", "B5", "B6", "C3", "C4", "C5",
+     "C6", "D4", "D5", "D6", "F4", "G2", "E6"],
+)
+def test_covers_match_the_left_lifting_reference(name):
+    # the reflection-table covers equal the left-lifting walk byte for byte
+    g = enumerate_group(name)
+    for got, want in zip(g.covers(), _left_lifting_covers(g)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", ["A3", "B3"])
