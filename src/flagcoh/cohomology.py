@@ -25,9 +25,13 @@ invertible mod 2, so this says rank_Q B = rank_GF2 B).  Round r tries
 kernel combination r of every component not yet accepted: one
 smith_blocks call reduces all their (component, layer) blocks at once,
 passed only those components' entries, each labelled by its block, so
-each block keeps its own divisors.  A component fails only once all 2^k
-combinations are tried, so Unsolvable means that no valid signs exist; it
-names the least failing component, as a loop over them in order would.
+each block keeps its own divisors.  Rows are top vertices and columns
+bottom vertices, and every combination solves the diamond system, so the
+entries form a complex that squares to zero, which smith_blocks reduces
+whole (E6 ++++++: 16 rounds in 0.15-0.2 s, where layer by layer took 23
+in 1.9-2.1 s).  A component fails only once all 2^k combinations are
+tried, so Unsolvable means that no valid signs exist; it names the least
+failing component, as a loop over them in order would.
 The accepted diagonals, doubled, are the Smith forms of the +-2 blocks,
 so cohomology only sums them."""
 

@@ -10,8 +10,17 @@ entry arrays labelled by block, in rounds of independent ±1 pivots, each
 one Schur complement joined on the pivot (Davis & Yew, SIAM J. Matrix Anal.
 Appl. 11, 1990; unit pivots first as in Dumas, Saunders & Villard, J. Symb.
 Comput. 32, 2001).  A unit pivot touches only its own block, so each block
-keeps its own divisors.  The rounds stop when no ±1 entry is left or an
-entry reaches 2^16, below which int64 cannot overflow; smith_diagonal
+keeps its own divisors.  Rows and columns index one set of cells, and the
+entry matrix D has D·D = 0, so the blocks are layers B_k : C^k -> C^{k+1}
+of complexes, and a unit pivot (c, v) of B_{k+1} is a reduction pair
+(Kaczyński, Mrozek & Ślusarek, Comput. Math. Appl. 35, 1998): the current
+row c, an integer combination of B_{k+1}'s rows that is zero at its
+earlier pivot columns, times B_k is 0, so row v of B_k is an integer
+combination of its other rows, and likewise column c of B_{k+2} of its
+other columns.  Both drop with no fill and no change to a Smith form, and
+with the fill held down this way each round takes every row's cheapest
+unit, with no cost window.  The rounds stop when no ±1 entry is left or
+an entry reaches 2^16, below which int64 cannot overflow; smith_diagonal
 reduces what is left, usually nothing.
 
 smith_diagonal keeps rows as {column: entry} dicts of Python integers, and
@@ -90,52 +99,54 @@ def smith_blocks(rows, cols, vals, labels, count: int) -> tuple[np.ndarray, dict
     """smith_diagonal of each block of a block-diagonal matrix, as (units,
     rests): block b's diagonal is [1] * units[b] + rests.get(b, []).  Entry
     (rows[e], cols[e]) = vals[e] lies in block labels[e] < count; blocks
-    share no row or column, and no (row, column) pair repeats.  units counts
-    each block's unit pivots of the rounds, and rests holds smith_diagonal of
+    share no row or column, and no (row, column) pair repeats.  Row and
+    column ids name one set of cells on which the matrix squares to zero,
+    as each round drops the rows named by its pivot columns and the
+    columns named by its pivot rows (see above); a matrix whose row ids are
+    disjoint from its column ids always meets this.  units counts each
+    block's unit pivots of the rounds, and rests holds smith_diagonal of
     what they leave, for the blocks that keep an entry (usually none)."""
     vals = np.asarray(vals, np.int64)
     live = np.flatnonzero(vals)
-    nrow, ncol = (int(np.max(ids, initial=-1)) + 1 for ids in (rows, cols))
+    cells = max(int(np.max(ids, initial=-1)) for ids in (rows, cols)) + 1
     row, col, val = np.asarray(rows, np.intp)[live], np.asarray(cols, np.intp)[live], vals[live]
     labels = np.asarray(labels)[live]
-    row_label, col_label = np.zeros(nrow, np.int64), np.zeros(ncol, np.int64)
+    row_label, col_label = np.zeros(cells, np.int64), np.zeros(cells, np.int64)
     row_label[row], col_label[col] = labels, labels
     if (row_label[row] != labels).any() or (col_label[col] != labels).any():
         raise ValueError("two blocks share a row or a column")
     del live, labels, col_label
     units = np.zeros(count, np.int64)
-    while (pivot := _pivots(row, col, val, nrow, ncol)).size:
+    while (pivot := _pivots(row, col, val, cells)).size:
         units += np.bincount(row_label[row[pivot]], minlength=count)
-        row, col, val = _eliminate(row, col, val, pivot, nrow, ncol)
+        row, col, val = _eliminate(row, col, val, pivot, cells)
     rest: dict[int, dict[int, dict[int, int]]] = defaultdict(lambda: defaultdict(dict))
     for b, i, j, v in zip(row_label[row].tolist(), row.tolist(), col.tolist(), val.tolist()):
         rest[b][i][j] = v
     return units, {b: smith_diagonal(block.values()) for b, block in rest.items()}
 
 
-def _pivots(row, col, val, nrow: int, ncol: int) -> np.ndarray:
+def _pivots(row, col, val, cells: int) -> np.ndarray:
     """Positions of independent ±1 entries: no two share a row or a column,
-    and no pivot row holds another pivot's column.  Every row proposes its
-    unit of least Markowitz cost (row count - 1) * (column count - 1), of
-    those at most 4 * the least + 4; every column keeps its cheapest
-    proposal; where one proposal's row holds another's column, the dearer
-    waits.  No pivot once an entry reaches 2^16."""
+    and no pivot row holds another pivot's column, so the rows and columns
+    a round drops are independent too.  Every row proposes its unit of
+    least Markowitz cost (row count - 1) * (column count - 1); every column
+    keeps its cheapest proposal; where one proposal's row holds another's
+    column, the dearer waits.  No pivot once an entry reaches 2^16."""
     magnitude = np.abs(val)
     unit = np.flatnonzero(magnitude == 1)
     if not unit.size or magnitude.max() >= _BOUND:
         return unit[:0]
-    cost = np.bincount(row, minlength=nrow)[row[unit]] - 1
-    cost *= np.bincount(col, minlength=ncol)[col[unit]] - 1
-    cheap = np.flatnonzero(cost <= 4 * cost.min() + 4)
-    unit = unit[cheap]
+    cost = np.bincount(row, minlength=cells)[row[unit]] - 1
+    cost *= np.bincount(col, minlength=cells)[col[unit]] - 1
     # unique ranks: by cost, clipped so that no rank reaches 2^63, then position
-    rank = np.minimum(cost[cheap], (1 << 62) // unit.size) * unit.size + np.arange(unit.size)
-    for line, size in ((row, nrow), (col, ncol)):
-        least = np.full(size, np.iinfo(np.int64).max)
+    rank = np.minimum(cost, (1 << 62) // unit.size) * unit.size + np.arange(unit.size)
+    for line in (row, col):
+        least = np.full(cells, np.iinfo(np.int64).max)
         np.minimum.at(least, line[unit], rank)
         best = np.flatnonzero(least[line[unit]] == rank)
         unit, rank = unit[best], rank[best]
-    k_row, k_col = np.full(nrow, -1, row.dtype), np.full(ncol, -1, row.dtype)
+    k_row, k_col = np.full(cells, -1, row.dtype), np.full(cells, -1, row.dtype)
     k_row[row[unit]] = k_col[col[unit]] = np.arange(unit.size)
     held = np.flatnonzero(k_col[col] >= 0)
     a, b = k_row[row[held]], k_col[col[held]]
@@ -146,30 +157,34 @@ def _pivots(row, col, val, nrow: int, ncol: int) -> np.ndarray:
     return unit[keep]
 
 
-def _eliminate(row, col, val, pivot, nrow: int, ncol: int):
+def _eliminate(row, col, val, pivot, cells: int):
     """The Schur complement B22 - B21 B11^-1 B12 on the given independent unit
     pivots, as one join of the pivot columns with the pivot rows on the
-    pivot; a unit pivot is its own inverse.  The entries of rows that hold
-    a pivot column are summed with the fill after one sort on the key
-    row * ncol + col; every other row keeps its entries in place."""
-    k_row, k_col = np.full(nrow, -1, row.dtype), np.full(ncol, -1, row.dtype)
+    pivot; a unit pivot is its own inverse.  The rows named by a pivot
+    column and the columns named by a pivot row drop out, fill and all.
+    The entries of rows that hold a pivot column are summed with the fill
+    after one sort on the key row * cells + col; every other row keeps its
+    entries in place."""
+    k_row, k_col = np.full(cells, -1, row.dtype), np.full(cells, -1, row.dtype)
+    k_col[row[pivot]] = -2  # a pivot row's cell, dropped as a column
     k_row[row[pivot]] = k_col[col[pivot]] = np.arange(pivot.size)
     kc = k_col[col]
     left = np.flatnonzero(kc >= 0)  # B21: the pivot columns less the pivots
     left = left[k_row[row[left]] < 0]
-    state = np.zeros(nrow, np.int8)  # 2 for a pivot row, 1 for a row of B21
-    state[row[left]], state[row[pivot]] = 1, 2
+    state = np.zeros(cells, np.int8)  # 3: a pivot column's cell, 2: a pivot row, 1: a B21 row
+    state[row[left]], state[col[pivot]], state[row[pivot]] = 1, 3, 2
+    left = left[state[row[left]] == 1]  # a dropped row takes no fill
     state = state[row]
     upper = np.flatnonzero(state == 2)  # B12: the pivot rows less the pivots
-    upper = upper[kc[upper] < 0]
+    upper = upper[kc[upper] == -1]
     ku = k_row[row[upper]]
     upper, sizes = upper[np.argsort(ku, kind="stable")], np.bincount(ku, minlength=pivot.size)
     k = kc[left]
     n = sizes[k]
     at = upper[np.repeat(np.cumsum(sizes)[k] - sizes[k] - np.cumsum(n) + n, n) + np.arange(n.sum())]
     hit = np.flatnonzero(state == 1)
-    hit = hit[kc[hit] < 0]
-    key = np.concatenate((row[hit], np.repeat(row[left], n))).astype(np.int64) * ncol
+    hit = hit[kc[hit] == -1]
+    key = np.concatenate((row[hit], np.repeat(row[left], n))).astype(np.int64) * cells
     key += np.concatenate((col[hit], col[at]))
     fill = np.concatenate((val[hit], np.repeat(-val[left] * val[pivot][k], n) * val[at]))
     order = np.argsort(key)
@@ -178,9 +193,9 @@ def _eliminate(row, col, val, pivot, nrow: int, ncol: int):
     key, fill = key[heads], np.add.reduceat(fill, heads)
     nonzero = np.flatnonzero(fill)
     key, fill = key[nonzero], fill[nonzero]
-    stay = np.flatnonzero(state == 0)
+    stay = np.flatnonzero((state == 0) & (kc == -1))
     return (
-        np.concatenate((row[stay], (key // ncol).astype(row.dtype))),
-        np.concatenate((col[stay], (key % ncol).astype(row.dtype))),
+        np.concatenate((row[stay], (key // cells).astype(row.dtype))),
+        np.concatenate((col[stay], (key % cells).astype(row.dtype))),
         np.concatenate((val[stay], fill)),
     )
