@@ -41,11 +41,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blowup import Signs, _coerce_group, format_signs
+from .blowup import Signs, format_signs
 from .errors import DiamondViolation, Unsolvable
 from .graph import IncidenceGraph, build_graph
 from .snf import smith_blocks
-from .weyl import WeylGroup, word_label
+from .weyl import WeylGroup, length_distribution, word_label
 
 
 @dataclass
@@ -355,6 +355,6 @@ def rational_betti(group_or_type, eps) -> tuple[int, ...]:
 
 def mod2_dims(group_or_type) -> tuple[int, ...]:
     """GF(2) dimensions: all differentials vanish mod 2, so these are the
-    length-distribution counts."""
-    group = _coerce_group(group_or_type)
-    return tuple(group.length_distribution())
+    length counts, read off the coset chain (E8 included)."""
+    g = group_or_type
+    return tuple(length_distribution(g.lie_type if isinstance(g, WeylGroup) else g))

@@ -21,7 +21,8 @@ from .qpoly import divide_exact, product, q_power_minus_one
 from .weyl import DEFAULT_CAP, enumerate_group, longest_element, positive_root_count, positive_roots
 
 # enumerating W stays affordable below this order; it guards restricted-sum,
-# poincare-duality, the graph and the cohomology (p(q) needs no enumeration)
+# poincare-duality, the graph and the cohomology (p(q) and mod2-dims read
+# the coset chain alone)
 _TABLE_LIMIT = 60_000
 
 _KNOWN_COMPONENTS = {"A2": 4, "A3": 10, "B3": 17, "D4": 35, "F4": 100, "D5": 95, "E6": 307}
@@ -110,10 +111,16 @@ def run_checks(t, cap: int | None = None) -> list[CheckResult]:
         except ValueError as e:
             skip("tau-multiplicity", str(e))
 
+    def mod2_dims():  # read off the coset chain, so it runs on either side of the gate
+        (ok if cohomology.mod2_dims(t) == _height_product(cartan) else fail)(
+            "mod2-dims", f"length counts vs the height product over the positive roots ({n_pos})"
+        )
+
     order = weyl_order(t)
     cap = DEFAULT_CAP if cap is None else cap
     bound, name = (cap, "cap") if cap < _TABLE_LIMIT else (_TABLE_LIMIT, "_TABLE_LIMIT")
     if order > bound:
+        mod2_dims()
         tau_multiplicity()
         skip("enumeration", f"|W|={order} beyond {name}={bound}")
         return out
@@ -158,11 +165,7 @@ def run_checks(t, cap: int | None = None) -> list[CheckResult]:
         (ok if sum(betti) == 2**data.g else fail)("total-betti", f"{sum(betti)}")
         divisors = {d for tors in groups.torsion() for d in tors}
         (ok if divisors <= {2} else warn)("torsion-exponent-two", f"divisors {sorted(divisors)}")
-    heights = _height_product(cartan)
-    (ok if cohomology.mod2_dims(group) == heights else fail)(
-        "mod2-dims", f"length counts vs the height product over the positive roots ({n_pos})"
-    )
-
+    mod2_dims()
     tau_multiplicity()
 
     if t.family in "ACD":

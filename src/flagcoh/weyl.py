@@ -9,18 +9,19 @@ orbit of the k-th fundamental weight, and left multiplication by a simple
 reflection is a walk down the chain (Deodhar's lemma): s u_k is again a
 representative, or s u_k = u_k s' with s' in W_{k-1} pushed one level down.
 
-enumerate_group turns the chain into numpy tables over all of W: lengths,
-the l left-multiplication permutations, and each element's least reduced
-word as a (first letter, rest) tree.  Element indices run by length, then
-by lexicographically least reduced word (the order of a breadth-first
-search under right multiplication, ties to the smallest generator), so
-element order, lengths and stored reduced words are deterministic across
-runs.  A reduced word reaches its index by a walk from e through the left
-permutations, and the Bruhat covers are stored once, as two index arrays.
-The integer matrices of the action on the simple-root basis only fix the
-output order (canonical_order, applied by the graph export and the eta
-table alone; every other stage runs in index order) and back the
-matrix-keyed `index`; they and the WeylElements are built only when read.
+enumerate_group holds the chain, the order and the length counts, which
+come from the levels alone; the first read of a table over all of W builds
+them all: lengths, the l left-multiplication permutations, and each
+element's least reduced word as a (first letter, rest) tree.  Element
+indices run by length, then by lexicographically least reduced word (the
+order of a breadth-first search under right multiplication, ties to the
+smallest generator), so they are deterministic across runs.  A reduced
+word reaches its index by a walk from e through the left permutations, and
+the Bruhat covers are stored once, as two index arrays.  The integer
+matrices of the action on the simple-root basis only fix the output order
+(canonical_order, applied by the graph export and the eta table alone;
+every other stage runs in index order) and back the matrix-keyed `index`;
+they and the WeylElements are built only when read.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -37,9 +38,10 @@ from .cartan import CartanMatrix, LieType, cartan_matrix, positive_root_count, w
 from .errors import CapExceeded, InvariantViolated
 from .intmat import Matrix, identity
 
-# the group's tables cost about 70 bytes of peak RSS per element: E7
-# (2,903,040 elements) builds in 0.6 s at 233 MB, 204 MB above the bare
-# interpreter; covers, matrices and WeylElements are built only when read
+# the group's tables cost about 70 bytes of peak RSS per element once read:
+# E7 (2,903,040 elements) builds them in 0.6 s at 233 MB, 204 MB above the
+# bare interpreter; its order and length counts need none of them, and
+# covers, matrices and WeylElements are built only when read
 DEFAULT_CAP = 3_000_000
 
 
@@ -151,6 +153,13 @@ def _coset_chain(t: LieType) -> tuple[CosetLevel, ...]:
     return tuple(levels)
 
 
+def length_distribution(t) -> list[int]:
+    """The number of elements of each length in W(t), from the coset chain
+    alone: sum_w q^{l(w)} is the product over the levels of sum_u q^{l(u)}."""
+    counts = [np.bincount(level.lengths) for level in _coset_chain(LieType.parse(t))]
+    return reduce(np.convolve, counts, np.ones(1, np.int64)).tolist()
+
+
 class _Elements(Sequence):
     """WeylElements of a group, built when read: one at a time from the
     (first letter, rest) tree, or all at once when iterated."""
@@ -188,23 +197,20 @@ class _Elements(Sequence):
 
 
 class WeylGroup:
-    """Immutable enumerated Weyl group, held as numpy tables over its elements.
+    """Immutable Weyl group over its coset chain, with numpy tables over its
+    elements built on the first read of any of them (see _TABLES).
 
     lengths[i] is the length of element i; left[s - 1][i] is the index of
     s w_i; w_i = s w_rest with s = first[i] its smallest left descent and
     rest[i] = left[s - 1][i] (first[0] = rest[0] = 0 for e); chain_index[i]
     is its mixed-radix number over the coset chain, top digit first."""
 
-    def __init__(self, lie_type, cartan, chain, lengths, left, first, rest, chain_index):
+    def __init__(self, lie_type, cartan, chain, order):
         self.lie_type = lie_type
         self.cartan = cartan
         self.chain = chain
-        self.left = left
-        self.first = first
-        self.rest = rest
-        self.chain_index = chain_index
-        self._lengths = lengths
-        self._offsets = np.concatenate(([0], np.cumsum(np.bincount(lengths)))).tolist()
+        self.order = order
+        self._offsets = np.concatenate(([0], np.cumsum(length_distribution(lie_type)))).tolist()
         self.elements = _Elements(self)
         self._length_list = None
         self._index = None
@@ -212,9 +218,11 @@ class WeylGroup:
         self._canonical = None
         self._covers = None
 
-    @property
-    def order(self) -> int:
-        return self._lengths.size
+    def __getattr__(self, name):  # reached only while the tables are unbuilt
+        if name not in _TABLES:
+            raise AttributeError(name)
+        self.__dict__.update(zip(_TABLES, _build_tables(self.chain)))
+        return self.__dict__[name]
 
     @property
     def rank(self) -> int:
@@ -384,7 +392,14 @@ def _enumerate(family: str, rank: int) -> WeylGroup:
     size = math.prod(level.lengths.size for level in chain)
     if size != expected:
         raise InvariantViolated(f"the coset chain of W({t}) has {size} elements, not {expected}")
+    return WeylGroup(t, cartan_matrix(t), chain, size)
 
+
+_TABLES = ("_lengths", "left", "first", "rest", "chain_index")
+
+
+def _build_tables(chain: tuple[CosetLevel, ...]):
+    """The WeylGroup tables over all of W, in _TABLES order."""
     # tables in chain order: w = u v (v in W_{k-1}) at u |W_{k-1}| + index(v);
     # s u is a representative (a new digit) or u s' (s' acts on v)
     lengths = np.zeros(1, np.int16)
@@ -403,7 +418,7 @@ def _enumerate(family: str, rank: int) -> WeylGroup:
     # re-index by (length, least reduced word): the least word of w is its
     # smallest left descent s followed by the least word of s w, so each
     # length layer sorts on (s, new index of s w)
-    n = lengths.size
+    n, rank = lengths.size, len(chain)
     first = np.zeros(n, np.int8)
     for s in reversed(range(rank)):
         first[lengths[left[s]] < lengths] = s + 1
@@ -421,7 +436,7 @@ def _enumerate(family: str, rank: int) -> WeylGroup:
         left[s] = new[left[s][old]]
     rest = new[down[old]]
     rest[0] = 0
-    return WeylGroup(t, cartan_matrix(t), chain, lengths[old], left, first[old], rest, old)
+    return lengths[old], left, first[old], rest, old
 
 
 def _apply_update(mat: Matrix, update, i: int) -> Matrix:
@@ -439,8 +454,8 @@ def _apply_update(mat: Matrix, update, i: int) -> Matrix:
 
 
 def enumerate_group(t, cap: int | None = None) -> WeylGroup:
-    """W(t) as tables over the coset chain; cached per type, so the cap only
-    decides whether |W(t)| may be built."""
+    """W(t) over its coset chain, tables built on first read; cached per
+    type, so the cap only decides whether |W(t)| may be built."""
     t = LieType.parse(t)
     cap = DEFAULT_CAP if cap is None else cap
     order = weyl_order(t)

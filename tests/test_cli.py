@@ -205,9 +205,10 @@ def test_weyl_e7_under_default_cap_builds_no_elements(capsys, monkeypatch):
     from flagcoh.verify import _height_product
 
     def refuse(*args, **kwargs):
-        raise AssertionError("WeylElement built")
+        raise AssertionError("WeylElement or group tables built")
 
     monkeypatch.setattr(weyl, "WeylElement", refuse)
+    monkeypatch.setattr(weyl, "_build_tables", refuse)
     try:
         code, payload = run_json(capsys, "weyl", "--type", "E7", "--emit", "order")
         assert code == 0 and payload["order"] == 2_903_040
@@ -215,7 +216,9 @@ def test_weyl_e7_under_default_cap_builds_no_elements(capsys, monkeypatch):
         assert code == 0
         assert tuple(payload["lengths"]) == _height_product(cartan_matrix("E7"))
     finally:
-        weyl._enumerate.cache_clear()  # the E7 tables hold about 110 MB
+        # the cached E7 group holds no tables; a later read would build them
+        # (about 110 MB), so no later test may find it
+        weyl._enumerate.cache_clear()
 
 
 # sha256 of stdout and the exit code, recorded before the handlers were folded

@@ -85,6 +85,13 @@ def test_pq_checks_pass_on_e7_and_e8():
         assert named["pq-vanishing"].detail == f"0 of {others} other sign vectors nonzero"
 
 
+def test_mod2_dims_passes_beyond_the_enumeration_gate():
+    for name in ["E7", "E8"]:
+        named = by_name(run_checks(name))
+        assert named["enumeration"].status == "skip"
+        assert named["mod2-dims"].status == "pass", (name, named["mod2-dims"].detail)
+
+
 def test_mod2_dims_is_checked_against_the_height_product(monkeypatch):
     from flagcoh import cohomology
 

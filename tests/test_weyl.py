@@ -10,6 +10,7 @@ from flagcoh.weyl import (
     all_reduced_words,
     bruhat_cover,
     enumerate_group,
+    length_distribution,
     longest_element,
     positive_roots,
     random_reduced_word,
@@ -96,6 +97,47 @@ def test_length_distribution_palindromic():
         dist = enumerate_group(name).length_distribution()
         assert dist == dist[::-1]
         assert sum(dist) == weyl_order(name)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"A{n}" for n in range(1, 8)] + [f"B{n}" for n in range(2, 7)]
+    + [f"C{n}" for n in range(3, 7)] + ["D4", "D5", "D6", "F4", "G2", "E6"],
+)
+def test_chain_length_counts_match_the_built_lengths(name):
+    g = enumerate_group(name)
+    counts = np.bincount(g._lengths).tolist()
+    assert g.length_distribution() == counts
+    assert length_distribution(name) == counts
+    assert g._offsets == np.concatenate(([0], np.cumsum(counts))).tolist()
+
+
+@pytest.mark.parametrize("name", ["E7", "E8"])
+def test_chain_length_counts_match_the_height_product(name):
+    from flagcoh.verify import _height_product
+
+    assert tuple(length_distribution(name)) == _height_product(cartan_matrix(name))
+
+
+def test_order_and_length_counts_build_no_tables(monkeypatch):
+    from flagcoh import blowup, cohomology, weyl
+
+    built = []
+    build = weyl._build_tables
+    monkeypatch.setattr(weyl, "_build_tables", lambda chain: built.append(chain) or build(chain))
+    g = weyl._enumerate.__wrapped__("E", 6)
+    dist = g.length_distribution()
+    assert g.order == sum(dist) == 51840
+    assert [len(layer) for layer in g.by_length()] == dist
+    assert cohomology.mod2_dims(g) == tuple(dist)
+    for eps in blowup.all_sign_vectors(6):
+        blowup.blowup_poly(g, eps)
+    assert built == []
+    assert g.covers() is g.covers()
+    assert built == [g.chain]
+    assert {"_lengths", "left", "first", "rest", "chain_index"} <= vars(g).keys()
+    g.word(g.order - 1)
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize(
