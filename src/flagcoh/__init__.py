@@ -57,6 +57,7 @@ from .blowup import (
     reflect_signs,
     restricted_blowup_poly,
     sign_vector,
+    stable_count,
 )
 from .graph import (
     IncidenceGraph,

@@ -154,21 +154,25 @@ def blowup_poly(group_or_type, eps) -> QPoly:
 
 @lru_cache(maxsize=None)
 def pq_table(t) -> Mapping[Signs, QPoly]:
-    """p_eps(q) for all 2^l sign vectors of type t, by the parabolic coset chain.
+    """p_eps(q) for all 2^l sign vectors of type t, by the parabolic coset chain."""
+    t = LieType.parse(t)
+    polys = _chain_fold(t, [{0: 1}] * (1 << t.rank))
+    return MappingProxyType({_signs(x, t.rank): poly for x, poly in enumerate(polys)})
+
+
+def _chain_fold(t: LieType, sums: list[dict[int, int]]) -> list[QPoly]:
+    """(-1)^{l(w*)} S_l at every sign code, folded up the coset chain from S_0.
 
     W_k = W_k^J . W_{k-1} (W_k on nodes 1..k) with lengths and counts adding,
-    so S_k(eps) = sum_u (-1)^{l(u)} q^{eta(u,eps)} S_{k-1}(final(u,eps)) over
-    the minimal left coset reps u of the chain's level k, S_0 = 1 and
-    p = (-1)^{l(w*)} S_l.
+    so S_k(x) = sum_u (-1)^{l(u)} q^{eta(u,x)} S_{k-1}(final(u,x)) over the
+    minimal left coset reps u of the chain's level k: S_0 = 1 gives p(q),
+    and S_0 the indicator of eps, read at eps, gives the sum over W^-.
     """
-    t = LieType.parse(t)
-    l, n = t.rank, 1 << t.rank
-    sums: list[dict[int, int]] = [{0: 1}] * n
     for level in _coset_chain(t):
         signs = [-1 if x % 2 else 1 for x in level.lengths.tolist()]
         reps = list(zip(signs, level.eta.tolist(), level.final.tolist()))
         folded = []
-        for x in range(n):
+        for x in range(len(sums)):
             acc: dict[int, int] = {}
             for sign, eta, fin in reps:
                 for e, v in sums[fin[x]].items():
@@ -176,24 +180,30 @@ def pq_table(t) -> Mapping[Signs, QPoly]:
             folded.append({e: v for e, v in acc.items() if v})
         sums = folded
     top = -1 if positive_root_count(t) % 2 else 1
-    return MappingProxyType(
-        {_signs(x, l): QPoly({e: top * v for e, v in poly.items()}) for x, poly in enumerate(sums)}
-    )
+    return [QPoly({e: top * v for e, v in poly.items()}) for poly in sums]
 
 
 def restricted_blowup_poly(group_or_type, eps) -> QPoly:
-    """Same alternating sum taken only over the sign-stable elements."""
-    group = _coerce_group(group_or_type)
-    eps = sign_vector(eps, group.rank)
-    table = blowup_table(group, eps)
-    top = group.lengths[-1]
-    coeffs: dict[int, int] = {}
-    for length, c, sig in zip(group.lengths, table.counts, table.final_signs):
-        if sig != eps:
-            continue
-        s = -1 if (top + length) % 2 else 1
-        coeffs[c] = coeffs.get(c, 0) + s
-    return QPoly(coeffs)
+    """Same alternating sum taken only over the sign-stable elements, by the
+    chain fold from the indicator of eps: nothing is enumerated."""
+    g = group_or_type
+    t = LieType.parse(g.lie_type if isinstance(g, WeylGroup) else g)
+    x = _code(sign_vector(eps, t.rank))
+    start: list[dict[int, int]] = [{}] * (1 << t.rank)
+    start[x] = {0: 1}
+    return _chain_fold(t, start)[x]
+
+
+def stable_count(group_or_type, eps) -> int:
+    """|W^-|: the elements whose sign walk takes eps back to eps, counted up
+    the coset chain as the fold counts them (n_k(x) = sum_u n_{k-1}(final(u,x)))."""
+    g = group_or_type
+    t = LieType.parse(g.lie_type if isinstance(g, WeylGroup) else g)
+    x = _code(sign_vector(eps, t.rank))
+    n = np.arange(1 << t.rank) == x
+    for level in _coset_chain(t):
+        n = n[level.final].sum(axis=0)
+    return int(n[x])
 
 
 def minus_stable_elements(group_or_type) -> list[WeylElement]:

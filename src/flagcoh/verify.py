@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import blowup, chevalley, cohomology, graph, tau
+from . import blowup, chevalley, cohomology, graph, tau, weyl
 from .cartan import (
     LieType,
     cartan_matrix,
@@ -20,9 +20,9 @@ from .intmat import transpose
 from .qpoly import divide_exact, product, q_power_minus_one
 from .weyl import DEFAULT_CAP, enumerate_group, longest_element, positive_root_count, positive_roots
 
-# enumerating W stays affordable below this order; it guards restricted-sum,
-# poincare-duality, the graph and the cohomology (p(q) and mod2-dims read
-# the coset chain alone)
+# enumerating W stays affordable below this order; it guards only the checks
+# that read element tables: poincare-duality, the graph and the cohomology
+# (every other check reads the coset chain or closed forms alone)
 _TABLE_LIMIT = 60_000
 
 _KNOWN_COMPONENTS = {"A2": 4, "A3": 10, "B3": 17, "D4": 35, "F4": 100, "D5": 95, "E6": 307}
@@ -101,72 +101,58 @@ def run_checks(t, cap: int | None = None) -> list[CheckResult]:
         "pq-vanishing", f"{bad} of {len(table) - 1} other sign vectors nonzero"
     )
 
-    def tau_multiplicity():  # needs no enumeration, so it runs on either side of the gate
-        if t.family not in "ABCDG":
-            skip("tau-multiplicity", "no formulas for this family")
-            return
+    dist = weyl.length_distribution(t)
+    order = weyl_order(t)
+    (ok if sum(dist) == order else fail)("weyl-order", f"{sum(dist)}")
+    (ok if dist == dist[::-1] else fail)("length-palindrome", f"{dist}")
+    (ok if blowup.restricted_blowup_poly(t, minus) == p else fail)(
+        "restricted-sum", f"|W-| = {blowup.stable_count(t, minus)}"
+    )
+
+    cap = DEFAULT_CAP if cap is None else cap
+    bound, name = (cap, "cap") if cap < _TABLE_LIMIT else (_TABLE_LIMIT, "_TABLE_LIMIT")
+    if order <= bound:
+        # eta(w*) = eta(w* w) + eta(w), with w* w read off the left permutations
+        group = enumerate_group(t, cap)
+        counts = blowup.chain_walk(group, minus)[0]
+        dual = group.left_product(group.word(group.order - 1))
+        (ok if (counts[dual] + counts == counts[-1]).all() else fail)("poincare-duality")
+
+        g = graph.build_graph(group, minus)
+        known = _KNOWN_COMPONENTS.get(str(t))
+        ncomp = len(graph.components(g))
+        if known is not None:
+            (ok if ncomp == known else fail)("graph-components", f"{ncomp} vs {known}")
+        else:
+            ok("graph-components", f"{ncomp} (no reference value)")
+        neg = graph.negative_components(g)
+        (ok if neg == 2**data.g else warn)("negative-components", f"{neg} vs 2^g = {2 ** data.g}")
+        (warn if len(g.cond_c_failures) else ok)(
+            "cover-condition-redundancy", f"{len(g.cond_c_failures)} exceptions"
+        )
+        try:
+            groups = cohomology.cohomology_of_complex(cohomology.assign_signs(g))
+        except FlagcohError as e:
+            fail("cohomology", str(e))
+        else:  # only these three read the groups
+            betti = groups.free_ranks()
+            expected_betti = _betti_from_degrees(data.degrees)
+            (ok if tuple(betti) == expected_betti else fail)("rational-betti", f"{betti}")
+            (ok if sum(betti) == 2**data.g else fail)("total-betti", f"{sum(betti)}")
+            divisors = {d for tors in groups.torsion() for d in tors}
+            (ok if divisors <= {2} else warn)("torsion-exponent-two", f"divisors {sorted(divisors)}")
+
+    (ok if cohomology.mod2_dims(t) == _height_product(cartan) else fail)(
+        "mod2-dims", f"length counts vs the height product over the positive roots ({n_pos})"
+    )
+    if t.family not in "ABCDG":
+        skip("tau-multiplicity", "no formulas for this family")
+    else:
         try:
             mult = tau.singularity_multiplicity(t)
             (ok if mult == eta_star else fail)("tau-multiplicity", f"{mult} vs {eta_star}")
         except ValueError as e:
             skip("tau-multiplicity", str(e))
-
-    def mod2_dims():  # read off the coset chain, so it runs on either side of the gate
-        (ok if cohomology.mod2_dims(t) == _height_product(cartan) else fail)(
-            "mod2-dims", f"length counts vs the height product over the positive roots ({n_pos})"
-        )
-
-    order = weyl_order(t)
-    cap = DEFAULT_CAP if cap is None else cap
-    bound, name = (cap, "cap") if cap < _TABLE_LIMIT else (_TABLE_LIMIT, "_TABLE_LIMIT")
-    if order > bound:
-        mod2_dims()
-        tau_multiplicity()
-        skip("enumeration", f"|W|={order} beyond {name}={bound}")
-        return out
-
-    group = enumerate_group(t, cap)
-    (ok if group.order == order else fail)("weyl-order", f"{group.order}")
-    dist = group.length_distribution()
-    (ok if dist == dist[::-1] else fail)("length-palindrome", f"{dist}")
-
-    table = blowup.blowup_table(group, minus)
-    restricted = blowup.restricted_blowup_poly(group, minus)
-    (ok if restricted == p else fail)(
-        "restricted-sum", f"|W-| = {table.final_signs.count(minus)}"
-    )
-
-    # eta(w*) = eta(w* w) + eta(w), with w* w read off the left permutations
-    top = table.counts[-1]
-    dual = group.left_product(group.word(group.order - 1)).tolist()
-    dual_ok = all(top == table.counts[j] + c for j, c in zip(dual, table.counts))
-    (ok if dual_ok else fail)("poincare-duality")
-
-    g = graph.build_graph(group, minus)
-    known = _KNOWN_COMPONENTS.get(str(t))
-    ncomp = len(graph.components(g))
-    if known is not None:
-        (ok if ncomp == known else fail)("graph-components", f"{ncomp} vs {known}")
-    else:
-        ok("graph-components", f"{ncomp} (no reference value)")
-    neg = graph.negative_components(g)
-    (ok if neg == 2**data.g else warn)("negative-components", f"{neg} vs 2^g = {2 ** data.g}")
-    (warn if len(g.cond_c_failures) else ok)(
-        "cover-condition-redundancy", f"{len(g.cond_c_failures)} exceptions"
-    )
-    try:
-        groups = cohomology.cohomology_of_complex(cohomology.assign_signs(g))
-    except FlagcohError as e:
-        fail("cohomology", str(e))
-    else:  # only these three read the groups
-        betti = groups.free_ranks()
-        expected_betti = _betti_from_degrees(data.degrees)
-        (ok if tuple(betti) == expected_betti else fail)("rational-betti", f"{betti}")
-        (ok if sum(betti) == 2**data.g else fail)("total-betti", f"{sum(betti)}")
-        divisors = {d for tors in groups.torsion() for d in tors}
-        (ok if divisors <= {2} else warn)("torsion-exponent-two", f"divisors {sorted(divisors)}")
-    mod2_dims()
-    tau_multiplicity()
 
     if t.family in "ACD":
         try:
@@ -179,6 +165,8 @@ def run_checks(t, cap: int | None = None) -> list[CheckResult]:
     else:
         skip("chevalley-order", "no sphere oracle for this family")
 
+    if order > bound:
+        skip("enumeration", f"|W|={order} beyond {name}={bound}")
     return out
 
 

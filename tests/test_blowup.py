@@ -17,6 +17,7 @@ from flagcoh.blowup import (
     reflect_signs,
     restricted_blowup_poly,
     sign_vector,
+    stable_count,
 )
 from flagcoh.cartan import cartan_matrix, compact_dual_data
 from flagcoh.qpoly import QPoly, q_power_minus_one
@@ -204,6 +205,43 @@ def test_restricted_sum_equals_full():
         g = enumerate_group(name)
         minus = all_minus(g.rank)
         assert restricted_blowup_poly(g, minus) == blowup_poly(g, minus)
+
+
+def _restricted_oracle(group, eps):
+    """The sum over W^- and |W^-| walked over every element of W, from the
+    blow-up table: (-1)^{l(w*) + l(w)} q^{eta(w)} where the final signs equal eps."""
+    table = blowup_table(group, eps)
+    top = group.lengths[-1]
+    coeffs = {}
+    for length, c, sig in zip(group.lengths, table.counts, table.final_signs):
+        if sig == table.eps:
+            coeffs[c] = coeffs.get(c, 0) + (-1) ** (top + length)
+    return QPoly(coeffs), table.final_signs.count(table.eps)
+
+
+def test_restricted_sum_and_count_match_the_element_walk():
+    names = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4"]
+    names += ["C3", "C4", "D4", "D5", "F4", "G2", "E6"]
+    for name in names:
+        g = enumerate_group(name)
+        for eps in all_sign_vectors(g.rank):
+            got = restricted_blowup_poly(name, eps), stable_count(name, eps)
+            assert got == _restricted_oracle(g, eps), (name, eps)
+
+
+def test_restricted_sum_and_count_build_no_tables(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("group tables or a WeylElement built")
+
+    monkeypatch.setattr(weyl, "_build_tables", refuse)
+    monkeypatch.setattr(weyl, "WeylElement", refuse)
+    group = weyl._enumerate.__wrapped__("E", 6)
+    minus = all_minus(6)
+    for eps in all_sign_vectors(6):
+        restricted_blowup_poly(group, eps)
+        stable_count(group, eps)
+    assert restricted_blowup_poly(group, minus) == blowup_poly("E6", minus)
+    assert stable_count(group, minus) == 1440  # criterion 12's |W-| on E6
 
 
 def test_poincare_duality():

@@ -1,3 +1,4 @@
+from flagcoh import verify, weyl
 from flagcoh.verify import all_passed, run_checks
 
 
@@ -36,6 +37,44 @@ def test_e8_runs_longest_checks_only():
     assert named["longest-length"].status == "pass"
     assert named["enumeration"].status == "skip"
     assert named["enumeration"].detail == "|W|=696729600 beyond _TABLE_LIMIT=60000"
+
+
+def test_chain_checks_pass_beyond_the_enumeration_gate():
+    for name, stable in [("E7", 80640), ("E8", 5160960)]:
+        named = by_name(run_checks(name))
+        for check in ["weyl-order", "length-palindrome", "restricted-sum"]:
+            assert named[check].status == "pass", (name, check, named[check].detail)
+        assert named["restricted-sum"].detail == f"|W-| = {stable}"
+
+
+def test_chevalley_order_runs_beyond_the_enumeration_gate():
+    for name in ["A8", "C7", "D7"]:
+        named = by_name(run_checks(name))
+        assert named["enumeration"].status == "skip"
+        assert named["chevalley-order"].status == "pass", (name, named["chevalley-order"].detail)
+
+
+def test_checks_beyond_the_gate_build_no_tables(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("group enumerated")
+
+    monkeypatch.setattr(verify, "enumerate_group", refuse)
+    monkeypatch.setattr(weyl, "_build_tables", refuse)
+    for name, cap in [("E7", None), ("E8", None), ("A3", 10)]:
+        assert all_passed(run_checks(name, cap)), name
+
+
+def test_e8_check_order_after_the_pq_checks():
+    names = [r.name for r in run_checks("E8")]
+    assert names[names.index("pq-vanishing") + 1 :] == [
+        "weyl-order",
+        "length-palindrome",
+        "restricted-sum",
+        "mod2-dims",
+        "tau-multiplicity",
+        "chevalley-order",
+        "enumeration",
+    ]
 
 
 def test_tau_multiplicity_runs_beyond_the_enumeration_gate():
