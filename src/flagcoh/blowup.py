@@ -104,6 +104,10 @@ class BlowupTable:
         return tuple(sorted(self.counts))
 
 
+def _lie_type(g) -> LieType:
+    return g.lie_type if isinstance(g, WeylGroup) else LieType.parse(g)
+
+
 def _coerce_group(group_or_type) -> WeylGroup:
     if isinstance(group_or_type, WeylGroup):
         return group_or_type
@@ -147,8 +151,7 @@ def _signs(code: int, l: int) -> Signs:
 def blowup_poly(group_or_type, eps) -> QPoly:
     """Alternating sum (-1)^{l(w*)} sum_w (-1)^{l(w)} q^{count(w)}, looked up
     in the type's pq_table: no element is walked and nothing is enumerated."""
-    g = group_or_type
-    t = LieType.parse(g.lie_type if isinstance(g, WeylGroup) else g)
+    t = _lie_type(group_or_type)
     return pq_table(t)[sign_vector(eps, t.rank)]
 
 
@@ -186,8 +189,7 @@ def _chain_fold(t: LieType, sums: list[dict[int, int]]) -> list[QPoly]:
 def restricted_blowup_poly(group_or_type, eps) -> QPoly:
     """Same alternating sum taken only over the sign-stable elements, by the
     chain fold from the indicator of eps: nothing is enumerated."""
-    g = group_or_type
-    t = LieType.parse(g.lie_type if isinstance(g, WeylGroup) else g)
+    t = _lie_type(group_or_type)
     x = _code(sign_vector(eps, t.rank))
     start: list[dict[int, int]] = [{}] * (1 << t.rank)
     start[x] = {0: 1}
@@ -197,8 +199,7 @@ def restricted_blowup_poly(group_or_type, eps) -> QPoly:
 def stable_count(group_or_type, eps) -> int:
     """|W^-|: the elements whose sign walk takes eps back to eps, counted up
     the coset chain as the fold counts them (n_k(x) = sum_u n_{k-1}(final(u,x)))."""
-    g = group_or_type
-    t = LieType.parse(g.lie_type if isinstance(g, WeylGroup) else g)
+    t = _lie_type(group_or_type)
     x = _code(sign_vector(eps, t.rank))
     n = np.arange(1 << t.rank) == x
     for level in _coset_chain(t):

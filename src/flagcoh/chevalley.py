@@ -116,7 +116,7 @@ def verify_order(t, field: PrimeField) -> dict:
     elif t.family == "D":
         factors = [l, l]
     else:
-        raise ValueError(f"compact dual of {t} is not SO-type")
+        raise ValueError("no sphere oracle for this family")
     brute = 1
     for n in factors:
         brute *= so_order_bruteforce(n, field)

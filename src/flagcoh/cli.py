@@ -3,7 +3,8 @@
 Every output is deterministic for a fixed argv: element order is always
 (length, matrix key), polynomial coefficients are emitted as decimal
 strings, and sign vectors are '+'/'-' strings.  FLAGCOH_CAP overrides the
-enumeration cap.
+enumeration cap of the commands that build element tables: `eta`, `graph`,
+`cohomology` over Z or Q, and `verify`.
 
 Each handler cmd_<name>(args, t, eps) gets the parsed LieType and sign
 vector (None when the subcommand has no --type or --eps) and returns
@@ -20,11 +21,11 @@ import os
 import sys
 
 from . import __version__, blowup, chevalley, cohomology, graph, tau, verify
-from .cartan import LieType, compact_dual_data
+from .cartan import LieType, compact_dual_data, weyl_order
 from .errors import FlagcohError
 from .flow import SpectralData, count_zeros, default_window, tau_signal
 from .qpoly import QPoly, factor_q_minus_form
-from .weyl import enumerate_group, longest_element, word_label
+from .weyl import enumerate_group, length_distribution, longest_element, word_label
 
 
 def _cap(args) -> int | None:
@@ -62,10 +63,9 @@ def _emit(body, out_path: str | None) -> None:
 def cmd_weyl(args, t, eps):
     if args.emit == "word-of-longest":
         return {"word_of_longest": list(longest_element(t).word)}, True
-    group = enumerate_group(t, _cap(args))
     if args.emit == "order":
-        return {"order": group.order}, True
-    return {"lengths": group.length_distribution()}, True
+        return {"order": weyl_order(t)}, True
+    return {"lengths": length_distribution(t)}, True
 
 
 def cmd_eta(args, t, eps):
@@ -97,12 +97,11 @@ def cmd_graph(args, t, eps):
 
 
 def cmd_cohomology(args, t, eps):
-    group = enumerate_group(t, _cap(args))
     body = {"ring": args.ring}
     if args.ring == "F2":
-        body["dims"] = list(cohomology.mod2_dims(group))
+        body["dims"] = list(cohomology.mod2_dims(t))
     else:
-        groups = cohomology.integral_cohomology(group, eps)
+        groups = cohomology.integral_cohomology(enumerate_group(t, _cap(args)), eps)
         if args.ring == "Q":
             body["betti"] = list(groups.free_ranks())
         else:
@@ -220,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    p = add("weyl", cmd_weyl)
+    p = add("weyl", cmd_weyl, cap=False)
     p.add_argument("--emit", choices=["lengths", "order", "word-of-longest"], default="lengths")
     add("eta", cmd_eta, eps=True)
     add("pq", cmd_pq, eps=True, cap=False)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blowup import Signs, format_signs
+from .blowup import Signs, _lie_type, format_signs
 from .errors import DiamondViolation, Unsolvable
 from .graph import IncidenceGraph, build_graph
 from .snf import smith_blocks
@@ -356,5 +356,4 @@ def rational_betti(group_or_type, eps) -> tuple[int, ...]:
 def mod2_dims(group_or_type) -> tuple[int, ...]:
     """GF(2) dimensions: all differentials vanish mod 2, so these are the
     length counts, read off the coset chain (E8 included)."""
-    g = group_or_type
-    return tuple(length_distribution(g.lie_type if isinstance(g, WeylGroup) else g))
+    return tuple(length_distribution(_lie_type(group_or_type)))

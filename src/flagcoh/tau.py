@@ -186,7 +186,7 @@ def nilpotent_tau_family(t) -> TauFamily:
     """All tau-functions of the nilpotent flow for one type, exactly."""
     t = LieType.parse(t)
     if t.family in "EF":
-        raise UnsupportedType(f"no tau-function formulas for family {t.family}")
+        raise UnsupportedType("no formulas for this family")
     l = t.rank
     if l > _MAX_DIM:
         raise ValueError(f"rank {l} needs determinants of dimension {l} > bound {_MAX_DIM}")

@@ -15,15 +15,16 @@ from .cartan import (
     same_up_to_relabeling,
     weyl_order,
 )
-from .errors import FlagcohError
+from .errors import FlagcohError, UnsupportedType
 from .intmat import transpose
 from .qpoly import divide_exact, product, q_power_minus_one
 from .weyl import DEFAULT_CAP, enumerate_group, longest_element, positive_root_count, positive_roots
 
-# enumerating W stays affordable below this order; it guards only the checks
-# that read element tables: poincare-duality, the graph and the cohomology
-# (every other check reads the coset chain or closed forms alone)
-_TABLE_LIMIT = 60_000
+# peak RSS per element of W through assign_signs is 1.17-1.19 KB on A8, B7, C7
+# and D7, 1.52 KB on E7.  No type within the default cap has 645,120 < |W| <
+# 2,903,040, so any budget from about 1 GB to 4 GB admits the same types.
+_SOLVE_BYTES = 1536
+_SOLVE_BUDGET = 2 << 30
 
 _KNOWN_COMPONENTS = {"A2": 4, "A3": 10, "B3": 17, "D4": 35, "F4": 100, "D5": 95, "E6": 307}
 
@@ -110,63 +111,62 @@ def run_checks(t, cap: int | None = None) -> list[CheckResult]:
     )
 
     cap = DEFAULT_CAP if cap is None else cap
-    bound, name = (cap, "cap") if cap < _TABLE_LIMIT else (_TABLE_LIMIT, "_TABLE_LIMIT")
-    if order <= bound:
+    if order <= cap:
         # eta(w*) = eta(w* w) + eta(w), with w* w read off the left permutations
         group = enumerate_group(t, cap)
         counts = blowup.chain_walk(group, minus)[0]
         dual = group.left_product(group.word(group.order - 1))
         (ok if (counts[dual] + counts == counts[-1]).all() else fail)("poincare-duality")
 
-        g = graph.build_graph(group, minus)
-        known = _KNOWN_COMPONENTS.get(str(t))
-        ncomp = len(graph.components(g))
-        if known is not None:
-            (ok if ncomp == known else fail)("graph-components", f"{ncomp} vs {known}")
+        solve = order * _SOLVE_BYTES
+        if solve > _SOLVE_BUDGET:
+            skip("cohomology", f"estimate {solve >> 20} MB beyond budget {_SOLVE_BUDGET >> 20} MB")
         else:
-            ok("graph-components", f"{ncomp} (no reference value)")
-        neg = graph.negative_components(g)
-        (ok if neg == 2**data.g else warn)("negative-components", f"{neg} vs 2^g = {2 ** data.g}")
-        (warn if len(g.cond_c_failures) else ok)(
-            "cover-condition-redundancy", f"{len(g.cond_c_failures)} exceptions"
-        )
-        try:
-            groups = cohomology.cohomology_of_complex(cohomology.assign_signs(g))
-        except FlagcohError as e:
-            fail("cohomology", str(e))
-        else:  # only these three read the groups
-            betti = groups.free_ranks()
-            expected_betti = _betti_from_degrees(data.degrees)
-            (ok if tuple(betti) == expected_betti else fail)("rational-betti", f"{betti}")
-            (ok if sum(betti) == 2**data.g else fail)("total-betti", f"{sum(betti)}")
-            divisors = {d for tors in groups.torsion() for d in tors}
-            (ok if divisors <= {2} else warn)("torsion-exponent-two", f"divisors {sorted(divisors)}")
+            g = graph.build_graph(group, minus)
+            known = _KNOWN_COMPONENTS.get(str(t))
+            ncomp = len(graph.components(g))
+            if known is not None:
+                (ok if ncomp == known else fail)("graph-components", f"{ncomp} vs {known}")
+            else:
+                ok("graph-components", f"{ncomp} (no reference value)")
+            neg, want = graph.negative_components(g), 2**data.g
+            (ok if neg == want else warn)("negative-components", f"{neg} vs 2^g = {want}")
+            (warn if len(g.cond_c_failures) else ok)(
+                "cover-condition-redundancy", f"{len(g.cond_c_failures)} exceptions"
+            )
+            try:
+                groups = cohomology.cohomology_of_complex(cohomology.assign_signs(g))
+            except FlagcohError as e:
+                fail("cohomology", str(e))
+            else:  # only these three read the groups
+                betti = groups.free_ranks()
+                expected_betti = _betti_from_degrees(data.degrees)
+                (ok if tuple(betti) == expected_betti else fail)("rational-betti", f"{betti}")
+                (ok if sum(betti) == 2**data.g else fail)("total-betti", f"{sum(betti)}")
+                divisors = {d for tors in groups.torsion() for d in tors}
+                (ok if divisors <= {2} else warn)(
+                    "torsion-exponent-two", f"divisors {sorted(divisors)}"
+                )
 
     (ok if cohomology.mod2_dims(t) == _height_product(cartan) else fail)(
         "mod2-dims", f"length counts vs the height product over the positive roots ({n_pos})"
     )
-    if t.family not in "ABCDG":
-        skip("tau-multiplicity", "no formulas for this family")
-    else:
-        try:
-            mult = tau.singularity_multiplicity(t)
-            (ok if mult == eta_star else fail)("tau-multiplicity", f"{mult} vs {eta_star}")
-        except ValueError as e:
-            skip("tau-multiplicity", str(e))
+    try:
+        mult = tau.singularity_multiplicity(t)
+        (ok if mult == eta_star else fail)("tau-multiplicity", f"{mult} vs {eta_star}")
+    except (UnsupportedType, ValueError) as e:
+        skip("tau-multiplicity", str(e))
 
-    if t.family in "ACD":
-        try:
-            report = chevalley.verify_order(t, chevalley.PrimeField(5))
-            (ok if report["match"] else fail)(
-                "chevalley-order", f"{report['closed_form']} vs {report['brute_force']}"
-            )
-        except ValueError as e:
-            skip("chevalley-order", str(e))
-    else:
-        skip("chevalley-order", "no sphere oracle for this family")
+    try:
+        report = chevalley.verify_order(t, chevalley.PrimeField(5))
+        (ok if report["match"] else fail)(
+            "chevalley-order", f"{report['closed_form']} vs {report['brute_force']}"
+        )
+    except ValueError as e:
+        skip("chevalley-order", str(e))
 
-    if order > bound:
-        skip("enumeration", f"|W|={order} beyond {name}={bound}")
+    if order > cap:
+        skip("enumeration", f"|W|={order} beyond cap={cap}")
     return out
 
 

@@ -182,5 +182,5 @@ def test_verify_order_c_and_d():
 
 
 def test_verify_order_b_family_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^no sphere oracle for this family$"):
         verify_order("B3", PrimeField(5))

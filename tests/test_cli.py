@@ -191,34 +191,37 @@ def test_out_file(tmp_path, capsys):
 
 def test_cap_env_override(capsys, monkeypatch):
     monkeypatch.setenv("FLAGCOH_CAP", "10")
-    assert main(["weyl", "--type", "A3", "--emit", "order"]) == 1
+    assert main(["eta", "--type", "A3", "--eps", "---"]) == 1
     err = capsys.readouterr().err
     assert "cap 10" in err
     monkeypatch.delenv("FLAGCOH_CAP")
-    assert main(["weyl", "--type", "A3", "--emit", "order"]) == 0
+    assert main(["eta", "--type", "A3", "--eps", "---"]) == 0
     capsys.readouterr()
 
 
-def test_weyl_e7_under_default_cap_builds_no_elements(capsys, monkeypatch):
-    from flagcoh import weyl
+@pytest.mark.parametrize(
+    "name, order", [("E7", 2_903_040), ("E8", 696_729_600)], ids=["E7", "E8"]
+)
+def test_chain_only_commands_build_no_elements(capsys, monkeypatch, name, order):
+    from flagcoh import cli, weyl
     from flagcoh.cartan import cartan_matrix
     from flagcoh.verify import _height_product
 
     def refuse(*args, **kwargs):
-        raise AssertionError("WeylElement or group tables built")
+        raise AssertionError("group enumerated, or WeylElement or group tables built")
 
+    monkeypatch.delenv("FLAGCOH_CAP", raising=False)
+    monkeypatch.setattr(cli, "enumerate_group", refuse)
     monkeypatch.setattr(weyl, "WeylElement", refuse)
     monkeypatch.setattr(weyl, "_build_tables", refuse)
-    try:
-        code, payload = run_json(capsys, "weyl", "--type", "E7", "--emit", "order")
-        assert code == 0 and payload["order"] == 2_903_040
-        code, payload = run_json(capsys, "weyl", "--type", "E7", "--emit", "lengths")
-        assert code == 0
-        assert tuple(payload["lengths"]) == _height_product(cartan_matrix("E7"))
-    finally:
-        # the cached E7 group holds no tables; a later read would build them
-        # (about 110 MB), so no later test may find it
-        weyl._enumerate.cache_clear()
+    code, payload = run_json(capsys, "weyl", "--type", name, "--emit", "order")
+    assert code == 0 and payload["order"] == order
+    heights = _height_product(cartan_matrix(name))
+    code, payload = run_json(capsys, "weyl", "--type", name, "--emit", "lengths")
+    assert code == 0 and tuple(payload["lengths"]) == heights
+    eps = "-" * int(name[1])
+    code, payload = run_json(capsys, "cohomology", "--type", name, "--eps", eps, "--ring", "F2")
+    assert code == 0 and tuple(payload["dims"]) == heights
 
 
 # sha256 of stdout and the exit code, recorded before the handlers were folded
@@ -238,6 +241,7 @@ GOLDEN = [
     (('chevalley', '--type', 'A3', '--prime', '13', '--verify'), 0, "e3da764faa7be24891f28f66fe52815d6b10930e1037abb9ef146a98b35f93a1"),
     (('flow', '--rank', '2', '--spectrum', '-2,0.5,1.5', '--window', '40', '--samples', '2001'), 0, "e70a8bfe25797b685cf23cbe6e724f6e1dd28cd59e3889cc096f17bec328e2c6"),
     (('verify', '--type', 'G2'), 0, "39dab876a19a1ef56c81fae4593d968adbbd33ed39f5d3bc8fe3383efb9439fd"),
+    (('verify', '--type', 'E6'), 0, "0ab15ea3116103dacad847410a3b791200e3bc26faa4844390b63dffa3800788"),
     (('pq', '--type', 'A2', '--eps', '---'), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (('eta', '--type', 'E8', '--eps', '--------'), 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]

@@ -347,9 +347,10 @@ def test_b2_squared_is_perfect_square():
 
 
 def test_unsupported_families():
-    with pytest.raises(UnsupportedType):
+    # verify prints these texts as its skip details
+    with pytest.raises(UnsupportedType, match="^no formulas for this family$"):
         nilpotent_tau_family("E6")
-    with pytest.raises(UnsupportedType):
+    with pytest.raises(UnsupportedType, match="^no formulas for this family$"):
         nilpotent_tau_family("F4")
     with pytest.raises(ValueError):
         nilpotent_tau_family("A8")  # determinant dimension above the bound

@@ -1,9 +1,27 @@
-from flagcoh import verify, weyl
+import pytest
+
+from flagcoh import graph, verify, weyl
 from flagcoh.verify import all_passed, run_checks
 
 
 def by_name(results):
     return {r.name: r for r in results}
+
+
+@pytest.fixture(scope="module")
+def e7():
+    """run_checks("E7") once, with the graph refused: the element tables are
+    built (about 270 MB), the sign solve is not.  The cached group is dropped
+    at once, so no later test finds its tables."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("graph built")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "build_graph", refuse)
+        try:
+            return by_name(run_checks("E7"))
+        finally:
+            weyl._enumerate.cache_clear()
 
 
 def test_small_types_fully_pass():
@@ -36,12 +54,12 @@ def test_e8_runs_longest_checks_only():
     assert named["blowups-at-longest"].status == "pass"
     assert named["longest-length"].status == "pass"
     assert named["enumeration"].status == "skip"
-    assert named["enumeration"].detail == "|W|=696729600 beyond _TABLE_LIMIT=60000"
+    assert named["enumeration"].detail == "|W|=696729600 beyond cap=3000000"
 
 
-def test_chain_checks_pass_beyond_the_enumeration_gate():
-    for name, stable in [("E7", 80640), ("E8", 5160960)]:
-        named = by_name(run_checks(name))
+def test_chain_checks_pass_beyond_the_enumeration_gate(e7):
+    e8 = by_name(run_checks("E8"))
+    for name, named, stable in [("E7", e7, 80640), ("E8", e8, 5160960)]:
         for check in ["weyl-order", "length-palindrome", "restricted-sum"]:
             assert named[check].status == "pass", (name, check, named[check].detail)
         assert named["restricted-sum"].detail == f"|W-| = {stable}"
@@ -49,7 +67,7 @@ def test_chain_checks_pass_beyond_the_enumeration_gate():
 
 def test_chevalley_order_runs_beyond_the_enumeration_gate():
     for name in ["A8", "C7", "D7"]:
-        named = by_name(run_checks(name))
+        named = by_name(run_checks(name, cap=60_000))
         assert named["enumeration"].status == "skip"
         assert named["chevalley-order"].status == "pass", (name, named["chevalley-order"].detail)
 
@@ -60,7 +78,7 @@ def test_checks_beyond_the_gate_build_no_tables(monkeypatch):
 
     monkeypatch.setattr(verify, "enumerate_group", refuse)
     monkeypatch.setattr(weyl, "_build_tables", refuse)
-    for name, cap in [("E7", None), ("E8", None), ("A3", 10)]:
+    for name, cap in [("E8", None), ("A3", 10)]:
         assert all_passed(run_checks(name, cap)), name
 
 
@@ -78,7 +96,7 @@ def test_e8_check_order_after_the_pq_checks():
 
 
 def test_tau_multiplicity_runs_beyond_the_enumeration_gate():
-    named = by_name(run_checks("B7"))
+    named = by_name(run_checks("B7", cap=60_000))
     assert named["enumeration"].status == "skip"
     assert named["tau-multiplicity"].status == "pass"
     assert named["tau-multiplicity"].detail == "28 vs 28"
@@ -115,20 +133,44 @@ def test_chevalley_order_runs_beyond_rank_four():
         assert named["chevalley-order"].status == "pass", (name, named["chevalley-order"].detail)
 
 
-def test_pq_checks_pass_on_e7_and_e8():
-    for name in ["E7", "E8"]:
-        named = by_name(run_checks(name))
+def test_pq_checks_pass_on_e7_and_e8(e7):
+    for name, named in [("E7", e7), ("E8", by_name(run_checks("E8")))]:
         for check in ["pq-closed-form", "pq-degree", "pq-at-one", "pq-vanishing"]:
             assert named[check].status == "pass", (name, check, named[check].detail)
         others = 2 ** int(name[1]) - 1
         assert named["pq-vanishing"].detail == f"0 of {others} other sign vectors nonzero"
 
 
-def test_mod2_dims_passes_beyond_the_enumeration_gate():
-    for name in ["E7", "E8"]:
-        named = by_name(run_checks(name))
-        assert named["enumeration"].status == "skip"
+def test_mod2_dims_passes_beyond_the_enumeration_gate(e7):
+    # E7 builds its tables but skips the sign solve; E8 builds no table
+    e8 = by_name(run_checks("E8"))
+    for name, named, gate in [("E7", e7, "cohomology"), ("E8", e8, "enumeration")]:
+        assert named[gate].status == "skip"
         assert named["mod2-dims"].status == "pass", (name, named["mod2-dims"].detail)
+
+
+def test_d7_runs_whole():
+    try:
+        results = run_checks("D7")
+    finally:
+        weyl._enumerate.cache_clear()  # D7's tables and covers
+    assert all_passed(results)
+    named = by_name(results)
+    for check in ["rational-betti", "total-betti", "torsion-exponent-two"]:
+        assert named[check].status == "pass", (check, named[check].detail)
+    assert named["total-betti"].detail == "64"
+    # a regression value computed by this code, not an independent reference
+    assert named["graph-components"].detail == "744 (no reference value)"
+    assert "enumeration" not in named
+
+
+def test_e7_checks_duality_and_skips_the_solve_by_its_estimate(e7):
+    assert all(r.status != "fail" for r in e7.values())
+    assert e7["poincare-duality"].status == "pass"
+    assert e7["cohomology"].status == "skip"
+    assert e7["cohomology"].detail == "estimate 4252 MB beyond budget 2048 MB"
+    for name in ["graph-components", "rational-betti", "enumeration"]:
+        assert name not in e7
 
 
 def test_mod2_dims_is_checked_against_the_height_product(monkeypatch):
