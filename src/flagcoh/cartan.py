@@ -184,10 +184,34 @@ def positive_root_count(t) -> int:
     return 24 if t.family == "F" else 6
 
 
+# The simple factors (kind, n) of the compact dual, per family at rank l: its
+# name, degrees and dimension derive from them, and chevalley's sphere oracle
+# reads the SO sizes.
+_DUAL_FACTORS = {
+    "A": lambda l: (("SO", l + 1),),
+    "B": lambda l: (("U", l),),
+    "C": lambda l: (("SO", l), ("SO", l + 1)),
+    "D": lambda l: (("SO", l), ("SO", l)),
+    "E": lambda l: {6: (("Sp", 4),), 7: (("SU", 8),), 8: (("SO", 16),)}[l],
+    "F": lambda l: (("Sp", 1), ("Sp", 3)),
+    "G": lambda l: (("SU", 2), ("SU", 2)),
+}
+
+# Per kind, the degrees d_i of the group at n and its dimension: SO(2m) has
+# 2, 4, ..., 2m - 2 and m, SO(2m + 1) has 2, 4, ..., 2m.
+_KINDS = {
+    "SO": (lambda n: (*range(2, n - 1, 2), n - 1 if n % 2 else n // 2), lambda n: n * (n - 1) // 2),
+    "U": (lambda n: tuple(range(1, n + 1)), lambda n: n * n),
+    "SU": (lambda n: tuple(range(2, n + 1)), lambda n: n * n - 1),
+    "Sp": (lambda n: tuple(range(2, 2 * n + 1, 2)), lambda n: n * (2 * n + 1)),
+}
+
+
 @dataclass(frozen=True)
 class DualCompactData:
     """Invariants of the compact subgroup attached to the transposed type."""
 
+    factors: tuple[tuple[str, int], ...]
     name: str
     degrees: tuple[int, ...]
     g: int
@@ -195,52 +219,16 @@ class DualCompactData:
     dim: int
 
 
-def _dual_degrees(t: LieType) -> tuple[int, ...]:
-    l = t.rank
-    if t.family == "A":
-        if l % 2 == 0:
-            return tuple(range(2, l + 1, 2))
-        return tuple(sorted(tuple(range(2, l, 2)) + ((l + 1) // 2,)))
-    if t.family == "B":
-        return tuple(range(1, l + 1))
-    if t.family == "C":
-        if l % 2 == 0:
-            pairs = tuple(d for k in range(2, l - 1, 2) for d in (k, k))
-            return tuple(sorted(pairs + (l, l // 2)))
-        pairs = tuple(d for k in range(2, l, 2) for d in (k, k))
-        return tuple(sorted(pairs + ((l + 1) // 2,)))
-    if t.family == "D":
-        if l % 2 == 0:
-            return tuple(sorted(tuple(d for k in range(2, l - 1, 2) for d in (k, k)) + (l // 2, l // 2)))
-        return tuple(d for k in range(2, l, 2) for d in (k, k))
-    if t.family == "E":
-        return {6: (2, 4, 6, 8), 7: (2, 3, 4, 5, 6, 7, 8), 8: (2, 4, 6, 8, 8, 10, 12, 14)}[l]
-    if t.family == "F":
-        return (2, 2, 4, 6)
-    return (2, 2)  # G2
-
-
-def _dual_name(t: LieType) -> str:
-    l = t.rank
-    return {
-        "A": f"SO({l + 1})",
-        "B": f"U({l})",
-        "C": f"SO({l})xSO({l + 1})",
-        "D": f"SO({l})xSO({l})",
-        "E": {6: "Sp(4)", 7: "SU(8)", 8: "SO(16)"}.get(l, ""),
-        "F": "Sp(1)xSp(3)",
-        "G": "SU(2)xSU(2)",
-    }[t.family]
-
-
 @lru_cache(maxsize=None)
 def compact_dual_data(t) -> DualCompactData:
-    """Degrees d_i, rank g, q-exponent r and dimension of the compact dual."""
+    """Factors, degrees d_i, rank g, q-exponent r and dimension of the compact dual."""
     t = LieType.parse(t)
-    degrees = _dual_degrees(t)
-    dim = sum(2 * d - 1 for d in degrees)
+    factors = _DUAL_FACTORS[t.family](t.rank)
+    degrees = tuple(sorted(d for kind, n in factors for d in _KINDS[kind][0](n)))
+    dim = sum(_KINDS[kind][1](n) for kind, n in factors)
     return DualCompactData(
-        name=_dual_name(t),
+        factors=factors,
+        name="x".join(f"{kind}({n})" for kind, n in factors),
         degrees=degrees,
         g=len(degrees),
         r=dim - sum(degrees),

@@ -1,8 +1,9 @@
 """Finite Chevalley group orders and brute-force point counts over F_p.
 
 The order polynomial q^r prod (q^{d_i} - 1) comes from the compact-dual
-table; sphere counts over a prime field give an independent oracle for
-the SO-type cases, via |SO(n+1)| = |SO(n)| * |S^n| = prod_k |S^k|.
+table; sphere counts over a prime field give an independent oracle
+wherever every factor of the compact dual is SO (A, C, D and E8), via
+|SO(n+1)| = |SO(n)| * |S^n| = prod_k |S^k|.
 Counting uses the convolution of the squares distribution, never raw
 tuple loops.
 """
@@ -10,11 +11,11 @@ tuple loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, prod
 
 from .blowup import blowup_poly
 from .cartan import LieType, compact_dual_data
-from .errors import FieldNotSplit
+from .errors import FieldNotSplit, UnsupportedType
 from .qpoly import QPoly, q_power_minus_one
 
 
@@ -104,24 +105,15 @@ def so_order_bruteforce(n: int, field: PrimeField) -> int:
 def verify_order(t, field: PrimeField) -> dict:
     """Cross-check p^r * p(q)|_{q=p} against brute-force sphere products.
 
-    Only the families whose compact dual is a product of SO groups are
-    eligible (A, C, D); B routes through U(l) and has no sphere oracle.
+    Only the types whose compact dual is a product of SO groups are
+    eligible (A, C, D and E8); the others have no sphere oracle.
     """
     t = LieType.parse(t)
-    l = t.rank
-    if t.family == "A":
-        factors = [l + 1]
-    elif t.family == "C":
-        factors = [l, l + 1]
-    elif t.family == "D":
-        factors = [l, l]
-    else:
-        raise ValueError("no sphere oracle for this family")
-    brute = 1
-    for n in factors:
-        brute *= so_order_bruteforce(n, field)
     data = compact_dual_data(t)
-    closed = field.p**data.r * blowup_poly(t, (-1,) * l)(field.p)
+    if any(kind != "SO" for kind, _ in data.factors):
+        raise UnsupportedType("no sphere oracle for this family")
+    brute = prod(so_order_bruteforce(n, field) for _, n in data.factors)
+    closed = field.p**data.r * blowup_poly(t, (-1,) * t.rank)(field.p)
     return {
         "type": str(t),
         "prime": field.p,

@@ -99,6 +99,8 @@ def cmd_graph(args, t, eps):
 def cmd_cohomology(args, t, eps):
     body = {"ring": args.ring}
     if args.ring == "F2":
+        if args.cap is not None:
+            raise ValueError("--cap does not apply to --ring F2")
         body["dims"] = list(cohomology.mod2_dims(t))
     else:
         groups = cohomology.integral_cohomology(enumerate_group(t, _cap(args)), eps)

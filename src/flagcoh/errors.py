@@ -34,7 +34,9 @@ class Unsolvable(FlagcohError):
 
 
 class UnsupportedType(FlagcohError):
-    """No tau-function formulas exist for the requested family."""
+    """A valid type that a computation refuses: no tau-function formulas for
+    its family or its rank beyond their bound, or no sphere oracle for its
+    compact dual."""
 
 
 class ZeroPolynomial(FlagcohError):

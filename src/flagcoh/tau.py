@@ -189,7 +189,7 @@ def nilpotent_tau_family(t) -> TauFamily:
         raise UnsupportedType("no formulas for this family")
     l = t.rank
     if l > _MAX_DIM:
-        raise ValueError(f"rank {l} needs determinants of dimension {l} > bound {_MAX_DIM}")
+        raise UnsupportedType(f"rank {l} needs determinants of dimension {l} > bound {_MAX_DIM}")
     active, with_s, gens = _GENERATORS[t.family](l)
     rows = _wronskian(gens)
     if t.family == "D":

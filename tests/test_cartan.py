@@ -83,6 +83,64 @@ def test_dual_data_examples():
     assert sum(e8.degrees) == 64
 
 
+# The per-family formulas the factor table replaced, kept as its oracle.
+def _oracle_degrees(t):
+    l = t.rank
+    if t.family == "A":
+        if l % 2 == 0:
+            return tuple(range(2, l + 1, 2))
+        return tuple(sorted(tuple(range(2, l, 2)) + ((l + 1) // 2,)))
+    if t.family == "B":
+        return tuple(range(1, l + 1))
+    if t.family == "C":
+        if l % 2 == 0:
+            pairs = tuple(d for k in range(2, l - 1, 2) for d in (k, k))
+            return tuple(sorted(pairs + (l, l // 2)))
+        pairs = tuple(d for k in range(2, l, 2) for d in (k, k))
+        return tuple(sorted(pairs + ((l + 1) // 2,)))
+    if t.family == "D":
+        if l % 2 == 0:
+            return tuple(sorted(tuple(d for k in range(2, l - 1, 2) for d in (k, k)) + (l // 2, l // 2)))
+        return tuple(d for k in range(2, l, 2) for d in (k, k))
+    if t.family == "E":
+        return {6: (2, 4, 6, 8), 7: (2, 3, 4, 5, 6, 7, 8), 8: (2, 4, 6, 8, 8, 10, 12, 14)}[l]
+    if t.family == "F":
+        return (2, 2, 4, 6)
+    return (2, 2)  # G2
+
+
+def _oracle_name(t):
+    l = t.rank
+    return {
+        "A": f"SO({l + 1})",
+        "B": f"U({l})",
+        "C": f"SO({l})xSO({l + 1})",
+        "D": f"SO({l})xSO({l})",
+        "E": {6: "Sp(4)", 7: "SU(8)", 8: "SO(16)"}.get(l, ""),
+        "F": "Sp(1)xSp(3)",
+        "G": "SU(2)xSU(2)",
+    }[t.family]
+
+
+_TABLE_TYPES = (
+    [f"A{l}" for l in range(1, 16)]
+    + [f"{f}{l}" for f in "BC" for l in range(2, 16)]
+    + [f"D{l}" for l in range(4, 16)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("name", _TABLE_TYPES)
+def test_dual_data_matches_the_family_formulas(name):
+    t = LieType.parse(name)
+    degrees = _oracle_degrees(t)
+    dim = sum(2 * d - 1 for d in degrees)
+    d = compact_dual_data(t)
+    assert (d.name, d.degrees, d.g, d.r, d.dim) == (
+        _oracle_name(t), degrees, len(degrees), dim - sum(degrees), dim
+    )
+
+
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_dual_data_invariants(name):
     d = compact_dual_data(name)

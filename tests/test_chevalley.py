@@ -11,7 +11,7 @@ from flagcoh.chevalley import (
     sphere_count,
     verify_order,
 )
-from flagcoh.errors import FieldNotSplit
+from flagcoh.errors import FieldNotSplit, UnsupportedType
 from flagcoh.qpoly import QPoly, divide_exact, factor_q_minus_form, q_power_minus_one
 
 
@@ -182,5 +182,18 @@ def test_verify_order_c_and_d():
 
 
 def test_verify_order_b_family_rejected():
-    with pytest.raises(ValueError, match="^no sphere oracle for this family$"):
+    with pytest.raises(UnsupportedType, match="^no sphere oracle for this family$"):
         verify_order("B3", PrimeField(5))
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_verify_order_e8_reads_so16(p):
+    report = verify_order("E8", PrimeField(p))
+    assert report["match"]
+    assert report["brute_force"] == so_order_bruteforce(16, PrimeField(p))
+
+
+@pytest.mark.parametrize("name", ["B2", "B3", "B4", "B5", "B6", "B7", "E6", "E7", "F4", "G2"])
+def test_verify_order_refuses_duals_with_a_factor_other_than_so(name):
+    with pytest.raises(UnsupportedType, match="^no sphere oracle for this family$"):
+        verify_order(name, PrimeField(5))

@@ -175,6 +175,23 @@ def test_usage_errors(capsys):
         assert "usage error:" in capsys.readouterr().err
 
 
+def test_refusals_of_valid_types_exit_one(capsys):
+    assert main(["tau", "--type", "A8"]) == 1
+    assert capsys.readouterr().err == "error: rank 8 needs determinants of dimension 8 > bound 7\n"
+    assert main(["chevalley", "--type", "B3", "--prime", "5", "--verify"]) == 1
+    assert capsys.readouterr().err == "error: no sphere oracle for this family\n"
+    assert main(["chevalley", "--type", "B3", "--prime", "9", "--verify"]) == 2  # bad prime
+
+
+def test_cohomology_f2_refuses_cap(capsys, monkeypatch):
+    argv = ["cohomology", "--type", "E8", "--eps", "--------", "--ring", "F2"]
+    assert main([*argv, "--cap", "10"]) == 2
+    assert capsys.readouterr().err == "usage error: --cap does not apply to --ring F2\n"
+    monkeypatch.setenv("FLAGCOH_CAP", "10")  # the environment cap is not a flag
+    assert main(["cohomology", "--type", "A3", "--eps", "---", "--ring", "F2"]) == 0
+    capsys.readouterr()
+
+
 def test_cap_error_is_reported(capsys):
     assert main(["eta", "--type", "E8", "--eps", "--------"]) == 1
     err = capsys.readouterr().err
@@ -225,7 +242,8 @@ def test_chain_only_commands_build_no_elements(capsys, monkeypatch, name, order)
 
 
 # sha256 of stdout and the exit code, recorded before the handlers were folded
-# into one runner in `main`; argparse wraps --help at $COLUMNS, pinned to 80
+# into one runner in `main` (the two E8 oracle entries when E8 gained the sphere
+# oracle); argparse wraps --help at $COLUMNS, pinned to 80
 GOLDEN = [
     (('pq', '--help'), 0, "1a3c4805a6cf6fe1241e74b55219a54e329dec2c5b74d28aa32a180b8283ad22"),
     (('weyl', '--type', 'A3'), 0, "b64953c20d0d4983ae23370803b5c582fc58aa93b64f45d175dbbda21aadbc77"),
@@ -242,6 +260,8 @@ GOLDEN = [
     (('flow', '--rank', '2', '--spectrum', '-2,0.5,1.5', '--window', '40', '--samples', '2001'), 0, "e70a8bfe25797b685cf23cbe6e724f6e1dd28cd59e3889cc096f17bec328e2c6"),
     (('verify', '--type', 'G2'), 0, "39dab876a19a1ef56c81fae4593d968adbbd33ed39f5d3bc8fe3383efb9439fd"),
     (('verify', '--type', 'E6'), 0, "0ab15ea3116103dacad847410a3b791200e3bc26faa4844390b63dffa3800788"),
+    (('chevalley', '--type', 'E8', '--prime', '13', '--verify'), 0, "29e8beadb2ac3fc74ed663cd0b63288ba6929ba1b225847b6ce58fde8292aec0"),
+    (('verify', '--type', 'E8'), 0, "cf65b0329988628609c7b8049aaaecbdfacab15e647cdee13b8746a9b95ba2a5"),
     (('pq', '--type', 'A2', '--eps', '---'), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (('eta', '--type', 'E8', '--eps', '--------'), 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]

@@ -82,3 +82,21 @@ def test_private_helpers_have_a_package_caller():
     }
     assert helpers
     assert sorted(helpers - named) == []
+
+
+def test_verify_catches_only_package_errors():
+    # a bare except or a builtin such as ValueError would turn a bug inside
+    # a check into a skip or a fail, and verify would still report
+    errors = {
+        node.name
+        for node in ast.parse((SRC / "errors.py").read_text()).body
+        if isinstance(node, ast.ClassDef)
+    }
+    found = []
+    for node in ast.walk(ast.parse((SRC / "verify.py").read_text())):
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names = [getattr(c, "id", None) for c in caught]
+            found += [f"verify.py:{node.lineno} {n}" for n in names if n not in errors]
+    assert errors
+    assert found == []

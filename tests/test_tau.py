@@ -352,8 +352,8 @@ def test_unsupported_families():
         nilpotent_tau_family("E6")
     with pytest.raises(UnsupportedType, match="^no formulas for this family$"):
         nilpotent_tau_family("F4")
-    with pytest.raises(ValueError):
-        nilpotent_tau_family("A8")  # determinant dimension above the bound
+    with pytest.raises(UnsupportedType, match="^rank 8 needs determinants of dimension 8 > bound 7$"):
+        nilpotent_tau_family("A8")
 
 
 def test_odd_squared_degree_is_reported():

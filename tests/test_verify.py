@@ -1,6 +1,6 @@
 import pytest
 
-from flagcoh import graph, verify, weyl
+from flagcoh import chevalley, graph, tau, verify, weyl
 from flagcoh.verify import all_passed, run_checks
 
 
@@ -197,3 +197,32 @@ def test_checks_after_a_cohomology_failure_still_run(monkeypatch):
         assert named[name].status == "pass", (name, named[name].detail)
     names = [r.name for r in run_checks("A3")]
     assert names[names.index("cohomology") + 1 :] == ["mod2-dims", "tau-multiplicity", "chevalley-order"]
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [(tau, "singularity_multiplicity"), (chevalley, "verify_order")],
+    ids=["tau", "chevalley"],
+)
+def test_a_value_error_inside_a_check_is_not_a_skip(monkeypatch, module, name):
+    def broken(*args, **kwargs):
+        raise ValueError("a bug, not a refusal")
+
+    monkeypatch.setattr(module, name, broken)
+    with pytest.raises(ValueError, match="^a bug, not a refusal$"):
+        run_checks("A3")
+
+
+def test_dual_table_invariants_fails_on_a_corrupted_degree_rule():
+    from flagcoh import cartan
+
+    degrees, dim = cartan._KINDS["SO"]
+    cartan.compact_dual_data.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(cartan._KINDS, "SO", (lambda n: (*degrees(n), 2), dim))
+            named = by_name(run_checks("A3"))
+    finally:
+        cartan.compact_dual_data.cache_clear()
+    assert named["dual-table-invariants"].status == "fail"
+    assert by_name(run_checks("A3"))["dual-table-invariants"].status == "pass"
