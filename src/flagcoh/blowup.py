@@ -34,9 +34,10 @@ def sign_vector(spec, rank: int | None = None) -> Signs:
         except KeyError:
             raise ValueError(f"sign vector may only contain '+'/'-': {spec!r}") from None
     else:
-        eps = tuple(int(x) for x in spec)
+        eps = tuple(spec)
         if any(x not in (1, -1) for x in eps):
             raise ValueError(f"sign entries must be +1/-1: {spec!r}")
+        eps = tuple(int(x) for x in eps)
     if rank is not None and len(eps) != rank:
         raise ValueError(f"sign vector {format_signs(eps)!r} has length {len(eps)}, expected {rank}")
     return eps

@@ -1,4 +1,5 @@
-"""Static root-system data: Cartan matrices, duality, compact-dual invariants.
+"""Static root-system data: Cartan matrices, duality, the Weyl group's
+degrees and the compact dual's factors.
 
 Index convention: the Cartan matrix entry C[j][i] (0-based rows/columns for
 1-based node labels j, i) is the coefficient in s_i(alpha_j) = alpha_j -
@@ -12,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 from . import snf
 from .errors import InvalidCartanMatrix
@@ -20,9 +22,23 @@ from .intmat import Matrix, transpose
 _FAMILIES = "ABCDEFG"
 _TYPE_RE = re.compile(r"^([A-G])(\d+)$")
 
-# Orders of the exceptional Weyl groups and positive-root counts, used for
-# cap checks before any enumeration happens.
-_EXC_ORDER = {"G": 12, "F": 1152, ("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600}
+# The degrees d_i of the Weyl group, per family at rank l.  They give |W| =
+# prod d_i and the number of positive roots N = sum (d_i - 1) (Humphreys,
+# Reflection Groups and Coxeter Groups, 1990, 3.9), so cap checks know both
+# before any enumeration happens.
+_WEYL_DEGREES = {
+    "A": lambda l: tuple(range(2, l + 2)),
+    "B": lambda l: tuple(range(2, 2 * l + 1, 2)),
+    "C": lambda l: tuple(range(2, 2 * l + 1, 2)),
+    "D": lambda l: (*range(2, 2 * l - 1, 2), l),
+    "E": lambda l: {
+        6: (2, 5, 6, 8, 9, 12),
+        7: (2, 6, 8, 10, 12, 14, 18),
+        8: (2, 8, 12, 14, 18, 20, 24, 30),
+    }[l],
+    "F": lambda l: (2, 6, 8, 12),
+    "G": lambda l: (2, 6),
+}
 
 
 @dataclass(frozen=True, order=True)
@@ -37,7 +53,7 @@ class LieType:
         ok = {
             "A": l >= 1,
             "B": l >= 2,
-            "C": l >= 2,  # the tables start at 3; rank 2 maps to the even formulas
+            "C": l >= 2,
             "D": l >= 4,
             "E": l in (6, 7, 8),
             "F": l == 4,
@@ -154,34 +170,15 @@ def same_up_to_relabeling(a: Matrix, b: Matrix) -> bool:
 
 
 def weyl_order(t) -> int:
-    """Order of the Weyl group from the classical product formulas."""
+    """|W| as the product of W's degrees."""
     t = LieType.parse(t)
-    l = t.rank
-    fact = 1
-    for k in range(2, l + 2):
-        fact *= k
-    if t.family == "A":
-        return fact
-    fact //= l + 1
-    if t.family in "BC":
-        return fact << l
-    if t.family == "D":
-        return fact << (l - 1)
-    return _EXC_ORDER[(t.family, l) if t.family == "E" else t.family]
+    return prod(_WEYL_DEGREES[t.family](t.rank))
 
 
 def positive_root_count(t) -> int:
+    """N, the length of w* and the flag manifold's dimension, as sum (d_i - 1)."""
     t = LieType.parse(t)
-    l = t.rank
-    if t.family == "A":
-        return l * (l + 1) // 2
-    if t.family in "BC":
-        return l * l
-    if t.family == "D":
-        return l * (l - 1)
-    if t.family == "E":
-        return {6: 36, 7: 63, 8: 120}[l]
-    return 24 if t.family == "F" else 6
+    return sum(d - 1 for d in _WEYL_DEGREES[t.family](t.rank))
 
 
 # The simple factors (kind, n) of the compact dual, per family at rank l: its

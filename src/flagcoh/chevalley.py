@@ -16,7 +16,7 @@ from math import isqrt, prod
 from .blowup import blowup_poly
 from .cartan import LieType, compact_dual_data
 from .errors import FieldNotSplit, UnsupportedType
-from .qpoly import QPoly, q_power_minus_one
+from .qpoly import QPoly, product, q_power_minus_one
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,7 @@ class OrderPoly:
 def order_poly(t) -> OrderPoly:
     t = LieType.parse(t)
     data = compact_dual_data(t)
-    reduced = QPoly.one()
-    for d in data.degrees:
-        reduced = reduced * q_power_minus_one(d)
+    reduced = product(q_power_minus_one(d) for d in data.degrees)
     return OrderPoly(r=data.r, degrees=data.degrees, reduced=reduced)
 
 

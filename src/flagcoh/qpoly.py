@@ -34,6 +34,9 @@ class QPoly:
         return isinstance(other, QPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant equals its int, so it must hash like one
+        if self.degree <= 0:
+            return hash(self.coeffs.get(0, 0))
         return hash(tuple(self.items()))
 
     def __add__(self, other) -> "QPoly":

@@ -132,23 +132,17 @@ class TauFamily:
 
     def min_degrees(self) -> tuple[int, ...]:
         """Per-tau minimal degrees, with squared/product bookkeeping resolved."""
+        degrees = [min_degree(e.poly) for e in self.entries]
         squared_half = None
-        for e in self.entries:
+        for e, d in zip(self.entries, degrees):
             if e.kind == SQUARED:
-                d = min_degree(e.poly)
                 if d % 2:
                     raise OddSquaredDegree(f"squared tau has odd degree {d}")
                 squared_half = d // 2
-        out = []
-        for e in self.entries:
-            d = min_degree(e.poly)
-            if e.kind == PLAIN:
-                out.append(d)
-            elif e.kind == PRODUCT:
-                out.append(d - squared_half)
-            else:
-                out.append(squared_half)
-        return tuple(out)
+        return tuple(
+            d if e.kind == PLAIN else d - squared_half if e.kind == PRODUCT else squared_half
+            for e, d in zip(self.entries, degrees)
+        )
 
     def multiplicity(self) -> int:
         return sum(self.min_degrees())

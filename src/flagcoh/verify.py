@@ -3,7 +3,6 @@ supports, each reported as pass/fail/warn/skip."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import blowup, chevalley, cohomology, graph, tau, weyl
@@ -12,13 +11,14 @@ from .cartan import (
     cartan_matrix,
     compact_dual_data,
     dual_type,
+    positive_root_count,
     same_up_to_relabeling,
     weyl_order,
 )
 from .errors import FlagcohError, UnsupportedType
 from .intmat import transpose
-from .qpoly import divide_exact, product, q_power_minus_one
-from .weyl import DEFAULT_CAP, enumerate_group, longest_element, positive_root_count, positive_roots
+from .qpoly import QPoly, divide_exact, product, q_power_minus_one
+from .weyl import DEFAULT_CAP, enumerate_group, longest_element, positive_roots
 
 # peak RSS per element of W through assign_signs is 1.17-1.19 KB on A8, B7, C7
 # and D7, 1.52 KB on E7.  No type within the default cap has 645,120 < |W| <
@@ -37,12 +37,9 @@ class CheckResult:
 
 
 def _betti_from_degrees(degrees) -> tuple[int, ...]:
-    top = sum(2 * d - 1 for d in degrees)
-    out = [0] * (top + 1)
-    for r in range(len(degrees) + 1):
-        for comb in itertools.combinations(degrees, r):
-            out[sum(2 * d - 1 for d in comb)] += 1
-    return tuple(out)
+    """Coefficients of prod (1 + t^{2 d_i - 1}), the exterior algebra's Poincare series."""
+    poly = product(QPoly({0: 1, 2 * d - 1: 1}) for d in degrees)
+    return tuple(poly.coeffs.get(e, 0) for e in range(poly.degree + 1))
 
 
 def _height_product(cartan) -> tuple[int, ...]:

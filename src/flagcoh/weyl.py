@@ -69,11 +69,7 @@ def reflection_matrix(i: int, cartan: CartanMatrix) -> Matrix:
     l = cartan.rank
     if not 1 <= i <= l:
         raise IndexError(f"generator index {i} out of range 1..{l}")
-    k = i - 1
-    return tuple(
-        tuple((int(r == c) - cartan[c][k]) if r == k else int(r == c) for c in range(l))
-        for r in range(l)
-    )
+    return word_matrix((i,), cartan)
 
 
 def simple_reflection(i: int, cartan: CartanMatrix) -> WeylElement:

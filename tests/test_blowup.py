@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from flagcoh import blowup, weyl
@@ -34,6 +35,14 @@ def test_sign_vector_parsing():
     with pytest.raises(ValueError):
         sign_vector("--", rank=3)
 
+
+
+def test_sign_vector_refuses_entries_that_are_not_plus_or_minus_one():
+    eps = sign_vector(np.array([1.0, -1.0]))
+    assert eps == (1, -1) and all(type(x) is int for x in eps)
+    for bad in ([1.5, -1], [1, -1.9], (1, 0)):
+        with pytest.raises(ValueError, match="sign entries must be"):
+            sign_vector(bad)
 
 def test_sign_action_a2():
     c = cartan_matrix("A2")

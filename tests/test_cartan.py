@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from flagcoh import weyl
 from flagcoh.cartan import (
     CartanMatrix,
     LieType,
@@ -139,6 +142,54 @@ def test_dual_data_matches_the_family_formulas(name):
     assert (d.name, d.degrees, d.g, d.r, d.dim) == (
         _oracle_name(t), degrees, len(degrees), dim - sum(degrees), dim
     )
+
+
+# The per-family formulas the degree table replaced, kept as its oracle.
+def _oracle_weyl_order(t):
+    l = t.rank
+    fact = math.factorial(l + 1)
+    if t.family == "A":
+        return fact
+    fact //= l + 1
+    if t.family in "BC":
+        return fact << l
+    if t.family == "D":
+        return fact << (l - 1)
+    exceptional = {"G": 12, "F": 1152, ("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600}
+    return exceptional[(t.family, l) if t.family == "E" else t.family]
+
+
+def _oracle_root_count(t):
+    l = t.rank
+    if t.family == "A":
+        return l * (l + 1) // 2
+    if t.family in "BC":
+        return l * l
+    if t.family == "D":
+        return l * (l - 1)
+    if t.family == "E":
+        return {6: 36, 7: 63, 8: 120}[l]
+    return 24 if t.family == "F" else 6
+
+
+@pytest.mark.parametrize("name", _TABLE_TYPES)
+def test_weyl_degrees_match_the_family_formulas(name):
+    t = LieType.parse(name)
+    assert (weyl_order(t), positive_root_count(t)) == (_oracle_weyl_order(t), _oracle_root_count(t))
+
+
+@pytest.mark.parametrize("name", _TABLE_TYPES)
+def test_positive_root_count_counts_the_roots_and_is_the_dual_dimension(name):
+    # dim G/B = dim K/T = dim K, since the real torus T is finite
+    n = positive_root_count(name)
+    assert n == len(weyl.positive_roots(cartan_matrix(name))) == compact_dual_data(name).dim
+
+
+# the chain's sign tables are 2^l wide, so higher ranks cost memory
+@pytest.mark.parametrize("name", [n for n in _TABLE_TYPES if LieType.parse(n).rank <= 8])
+def test_weyl_order_is_the_size_of_the_coset_chain(name):
+    t = LieType.parse(name)
+    assert weyl_order(t) == math.prod(level.lengths.size for level in weyl._coset_chain(t))
 
 
 @pytest.mark.parametrize("name", ALL_TYPES)

@@ -25,6 +25,14 @@ def test_qpoly_arithmetic():
     assert str(QPoly({3: 1, 1: -2, 0: 1})) == "q^3 - 2*q + 1"
 
 
+
+def test_qpoly_hash_agrees_with_equality():
+    # a constant polynomial equals its int, so sets and dicts must merge them
+    assert QPoly.one() == 1 and hash(QPoly.one()) == hash(1)
+    assert len({QPoly.one(), 1}) == 1
+    assert len({QPoly(), 0, QPoly({0: -3}), -3}) == 2
+    assert {q_power_minus_one(2): "a"}[QPoly({2: 1, 0: -1})] == "a"
+
 def test_divide_exact():
     p = q_power_minus_one(2) * q_power_minus_one(3)
     assert divide_exact(p, q_power_minus_one(3)) == q_power_minus_one(2)

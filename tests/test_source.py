@@ -100,3 +100,34 @@ def test_verify_catches_only_package_errors():
             found += [f"verify.py:{node.lineno} {n}" for n in names if n not in errors]
     assert errors
     assert found == []
+
+
+def _defined_names(tree) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_relative_imports_name_the_defining_module():
+    # `from .m import x` where m only re-imports x hides x's home and ties
+    # the importer to m's own imports; __init__.py re-exports on purpose
+    defined = {
+        path.stem: _defined_names(ast.parse(path.read_text(), filename=str(path)))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    found = [
+        f"{path.name}:{node.lineno} {node.module}.{alias.name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+        if alias.name not in defined[node.module]
+    ]
+    assert len(defined) > 1
+    assert found == []
