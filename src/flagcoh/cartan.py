@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 from math import prod
 
 from . import snf
@@ -160,8 +161,6 @@ def same_up_to_relabeling(a: Matrix, b: Matrix) -> bool:
     """
     if a == b:
         return True
-    from itertools import permutations
-
     n = len(a)
     return any(
         all(a[p[j]][p[i]] == b[j][i] for j in range(n) for i in range(n))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+
 
 class QPoly:
     __slots__ = ("coeffs",)
@@ -29,9 +31,9 @@ class QPoly:
         return sorted(self.coeffs.items())
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = QPoly({0: other})
-        return isinstance(other, QPoly) and self.coeffs == other.coeffs
+        if (other := _lift(other)) is None:
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         # a constant equals its int, so it must hash like one
@@ -40,10 +42,14 @@ class QPoly:
         return hash(tuple(self.items()))
 
     def __add__(self, other) -> "QPoly":
+        if (other := _lift(other)) is None:
+            return NotImplemented
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0) + c
         return QPoly(out)
+
+    __radd__ = __add__
 
     def __neg__(self) -> "QPoly":
         return QPoly({e: -c for e, c in self.coeffs.items()})
@@ -52,8 +58,8 @@ class QPoly:
         return self + (-other)
 
     def __mul__(self, other) -> "QPoly":
-        if isinstance(other, int):
-            return QPoly({e: c * other for e, c in self.coeffs.items()})
+        if (other := _lift(other)) is None:
+            return NotImplemented
         out: dict[int, int] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -85,6 +91,13 @@ class QPoly:
             parts.append(("- " if c < 0 else "+ ") + mono)
         head = parts[0].replace("+ ", "").replace("- ", "-")
         return " ".join([head] + parts[1:])
+
+
+def _lift(other) -> QPoly | None:
+    """A QPoly as itself, any integer (numpy's too) as a constant, else None."""
+    if isinstance(other, QPoly):
+        return other
+    return QPoly({0: other}) if isinstance(other, numbers.Integral) else None
 
 
 def q_power_minus_one(d: int) -> QPoly:

@@ -74,10 +74,11 @@ def _h_series(vars, weights, top: int) -> list[MultiPoly]:
     ]
 
 
-def _polys(rows: list[list[HExpr]], active, with_s: bool = False) -> list[list[MultiPoly]]:
-    """A matrix of h-expressions as polynomials in t_j (j in active), then s."""
+def _polys(rows: list[list[HExpr]], active) -> list[list[MultiPoly]]:
+    """A matrix of h-expressions as polynomials in t_j (j in active), then s if used."""
     active = tuple(active)
     top = max((m for row in rows for expr in row for _, m in expr), default=0)
+    with_s = any(a for row in rows for expr in row for a, _ in expr)
     vars = tuple(f"t{j}" for j in active) + (("s",) * with_s)
     hs = _h_series(vars, active + (0,) * with_s, top)
     s = MultiPoly.variable(vars, "s") if with_s else None
@@ -163,33 +164,30 @@ def _bordered(rows: list[list[HExpr]], l: int) -> list[list[HExpr]]:
     return [row + [b] for row, b in zip(rows, border)] + [border + [corner]]
 
 
-# Per family, for rank l: the active t-indices, whether s is a variable, and
-# the generators, top row first.
-_GENERATORS = {
-    "A": lambda l: (range(1, l + 1), False, [_h(m) for m in range(l, 0, -1)]),
-    "B": lambda l: (range(1, 2 * l, 2), False, [_h(m) for m in range(2 * l, l, -1)]),
-    "C": lambda l: (range(1, 2 * l, 2), False, [_h(m) for m in range(2 * l - 1, l - 1, -1)]),
-    "D": lambda l: (range(1, 2 * l - 2, 2), True, _d_generators(l)),
-    "G": lambda l: ((1, 5), False, [_h(6), _h(5)]),
+# Per family, for rank l: the active t-indices, the matrix whose leading
+# minors are the taus (rows top first), and the kinds of the last taus;
+# every other tau is PLAIN.
+_FAMILIES = {
+    "A": lambda l: (range(1, l + 1), _wronskian(list(map(_h, range(l, 0, -1)))), ()),
+    "B": lambda l: (range(1, 2 * l, 2), _wronskian(list(map(_h, range(2 * l, l, -1)))), (SQUARED,)),
+    "C": lambda l: (range(1, 2 * l, 2), _wronskian(list(map(_h, range(2 * l - 1, l - 1, -1)))), ()),
+    "D": lambda l: (
+        range(1, 2 * l - 2, 2), _bordered(_wronskian(_d_generators(l)), l), (PRODUCT, SQUARED)
+    ),
+    "G": lambda l: ((1, 5), _wronskian([_h(6), _h(5)]), ()),
 }
-# the kinds of each family's last taus; every other tau is PLAIN
-_LAST_KINDS = {"B": (SQUARED,), "D": (PRODUCT, SQUARED)}
 
 
 def nilpotent_tau_family(t) -> TauFamily:
     """All tau-functions of the nilpotent flow for one type, exactly."""
     t = LieType.parse(t)
-    if t.family in "EF":
+    if t.family not in _FAMILIES:
         raise UnsupportedType("no formulas for this family")
     l = t.rank
     if l > _MAX_DIM:
         raise UnsupportedType(f"rank {l} needs determinants of dimension {l} > bound {_MAX_DIM}")
-    active, with_s, gens = _GENERATORS[t.family](l)
-    rows = _wronskian(gens)
-    if t.family == "D":
-        rows = _bordered(rows, l)
-    minors = leading_minors(_polys(rows, active, with_s))
-    last = _LAST_KINDS.get(t.family, ())
+    active, rows, last = _FAMILIES[t.family](l)
+    minors = leading_minors(_polys(rows, active))
     kinds = (PLAIN,) * (len(minors) - len(last)) + last
     return TauFamily(t, tuple(map(TauEntry, minors, kinds)))
 

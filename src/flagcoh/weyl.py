@@ -463,47 +463,28 @@ def enumerate_group(t, cap: int | None = None) -> WeylGroup:
     return _enumerate(t.family, t.rank)
 
 
-def _diagram_automorphism(t: LieType) -> list[int]:
-    l = t.rank
-    sigma = list(range(l))
-    if t.family == "A":
-        sigma = [l - 1 - c for c in range(l)]
-    elif t.family == "D" and l % 2 == 1:
-        sigma[l - 2], sigma[l - 1] = sigma[l - 1], sigma[l - 2]
-    elif t.family == "E" and l == 6:
-        sigma = [5, 1, 4, 3, 2, 0]
-    return sigma
-
-
 def longest_element(t) -> WeylElement:
-    """w* with a reduced word, built by greedy peeling (no enumeration).
+    """w* with a reduced word, built by greedy ascent (no enumeration).
 
-    Starts from the matrix -(diagram automorphism) and repeatedly strips a
-    generator whose simple root is sent to a negative root.
+    From e, multiply on the right by the least s_i whose column of the
+    matrix is >= 0: then w(alpha_i) > 0 and l(w s_i) = l(w) + 1. w* alone
+    has no right ascent, so the climb ends there after N steps, and needs no
+    diagram automorphism. The word is the climb reversed, a reduced word of
+    w*^-1 = w*: the word of peeling w* to e by its least right descent, as
+    w* x has a right descent at i exactly when x has a right ascent there.
     """
     t = LieType.parse(t)
-    cartan = cartan_matrix(t)
     l = t.rank
-    sigma = _diagram_automorphism(t)
-    wstar = tuple(tuple(-int(r == sigma[c]) for c in range(l)) for r in range(l))
-    updates = _column_updates(cartan)
-    ident = identity(l)
-
-    mat = wstar
-    peeled = []
-    while mat != ident:
-        for i in range(l):
-            if all(mat[r][i] <= 0 for r in range(l)):
-                break
-        else:
-            raise InvariantViolated(f"peeling stuck for {t}: not a longest-element matrix")
-        peeled.append(i + 1)
+    updates = _column_updates(cartan_matrix(t))
+    mat, climbed = identity(l), []
+    while (i := next((i for i in range(l) if all(r[i] >= 0 for r in mat)), None)) is not None:
+        climbed.append(i + 1)
         mat = _apply_update(mat, updates[i], i)
-    word = tuple(reversed(peeled))
+    word = tuple(reversed(climbed))
     expected = positive_root_count(t)
     if len(word) != expected:
-        raise InvariantViolated(f"w* of {t} peeled to length {len(word)}, expected {expected}")
-    return WeylElement(wstar, len(word), word)
+        raise InvariantViolated(f"w* of {t} climbed to length {len(word)}, expected {expected}")
+    return WeylElement(mat, len(word), word)
 
 
 def bruhat_cover(group: WeylGroup, w1: WeylElement, w2: WeylElement) -> bool:

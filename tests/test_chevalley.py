@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from flagcoh.blowup import all_minus, blowup_poly
@@ -32,6 +33,19 @@ def test_qpoly_hash_agrees_with_equality():
     assert len({QPoly.one(), 1}) == 1
     assert len({QPoly(), 0, QPoly({0: -3}), -3}) == 2
     assert {q_power_minus_one(2): "a"}[QPoly({2: 1, 0: -1})] == "a"
+
+
+def test_qpoly_takes_any_integer_as_a_constant_and_nothing_else():
+    # numpy's integers register as numbers.Integral, so they lift like ints
+    one, q = QPoly.one(), QPoly({1: 1})
+    assert one + 1 == 1 + one == 2 and one - 1 == 0
+    assert one + np.int64(1) == 2 and one == np.int64(1)
+    assert q * np.int64(3) == np.int64(3) * q == 3 * q == QPoly({1: 3})
+    assert q * 0 == 0 and one != "1" and one != 1.5
+    for bad in ("x", 1.5, None):
+        for op in (lambda: one + bad, lambda: bad + one, lambda: q * bad, lambda: one - bad):
+            with pytest.raises(TypeError):
+                op()
 
 def test_divide_exact():
     p = q_power_minus_one(2) * q_power_minus_one(3)

@@ -216,6 +216,23 @@ def test_cap_env_override(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_cap_flag_wins_over_the_environment(capsys, monkeypatch):
+    monkeypatch.delenv("FLAGCOH_CAP", raising=False)
+    assert main(["eta", "--type", "A3", "--eps", "---", "--cap", "10"]) == 1
+    assert "exceeds cap 10" in capsys.readouterr().err
+    monkeypatch.setenv("FLAGCOH_CAP", "10")  # |W(A3)| = 24 is beyond it
+    assert main(["eta", "--type", "A3", "--eps", "---", "--cap", "100"]) == 0
+    assert main(["eta", "--type", "A1", "--eps", "-", "--cap", "100"]) == 0
+    capsys.readouterr()
+
+
+def test_eps_equals_form_prints_what_the_spaced_form_prints(capsys):
+    # a bare "--" value survives "--eps=--" as it does "--eps --"
+    spaced = run(capsys, "pq", "--type", "A2", "--eps", "--")
+    assert run(capsys, "pq", "--type", "A2", "--eps=--") == spaced
+    assert spaced[0] == 0
+
+
 @pytest.mark.parametrize(
     "name, order", [("E7", 2_903_040), ("E8", 696_729_600)], ids=["E7", "E8"]
 )

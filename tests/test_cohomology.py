@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from flagcoh import cohomology
+from flagcoh import cohomology, snf
 from flagcoh.blowup import all_minus, all_sign_vectors, blowup_poly, blowup_table, sign_vector
 from flagcoh.cartan import compact_dual_data
 from flagcoh.errors import DiamondViolation, Unsolvable
@@ -222,6 +222,32 @@ def test_unsolvable_names_component_layer_and_kernel(monkeypatch):
     with pytest.raises(Unsolvable, match=re.escape(message)):
         assign_signs(build_graph("A2", "--"))
 
+
+
+@pytest.mark.parametrize(
+    "name, eps",
+    [
+        ("A3", "---"), ("A3", "-+-"), ("B3", "---"), ("B3", "+++"), ("C3", "-+-"),
+        ("D4", "----"), ("A4", "-+-+"), ("F4", "----"), ("G2", "--"),
+    ],
+)
+def test_sign_search_reads_blocks_left_whole_to_smith_diagonal(monkeypatch, name, eps):
+    # with the pivot bound at 1 no unit is ever proposed, so each block of a
+    # round reaches smith_diagonal whole and the search accepts what it returns
+    want = assign_signs(build_graph(name, eps))
+    rounds = []
+
+    def spy(*args):
+        units, rests = smith_blocks(*args)
+        rounds.append((int(units.sum()), len(rests)))
+        return units, rests
+
+    monkeypatch.setattr(snf, "_BOUND", 1)
+    monkeypatch.setattr(cohomology, "smith_blocks", spy)
+    got = assign_signs(build_graph(name, eps))
+    assert rounds and all(units == 0 and rests for units, rests in rounds)
+    assert np.array_equal(got.signs, want.signs)
+    assert got.smith == want.smith
 
 def test_square_zero_failure_names_type_signs_and_degree():
     g = build_graph("A3", "+++")

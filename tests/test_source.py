@@ -61,6 +61,43 @@ def test_package_imports_its_own_modules_at_module_level():
     assert found == set()
 
 
+
+def test_package_imports_only_at_module_level():
+    # an import inside a function hides a dependency until that function
+    # first runs, and runs again on every call
+    found = {
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    }
+    assert found == set()
+
+
+def _is_text(node) -> bool:
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return bool(node.elts) and all(map(_is_text, node.elts))
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def test_family_letters_are_compared_only_in_cartan():
+    # a family's facts are cartan's tables; elsewhere a family may key a
+    # table (`t.family not in _FAMILIES`) but not branch on its letter
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cartan.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                if any(isinstance(n, ast.Attribute) and n.attr == "family" for n in sides) and any(
+                    map(_is_text, sides)
+                ):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
 def test_private_helpers_have_a_package_caller():
     # a module-level function or method named _x that nothing in the package
     # names besides its def is dead code, even when a test still calls it

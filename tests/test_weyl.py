@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from flagcoh.cartan import cartan_matrix, positive_root_count, weyl_order
+from flagcoh.cartan import LieType, cartan_matrix, positive_root_count, weyl_order
 from flagcoh.errors import CapExceeded
 from flagcoh.intmat import identity, mat_mul
 from flagcoh.weyl import (
@@ -165,6 +165,48 @@ def test_longest_matches_enumeration():
     for name in ["A3", "B3", "G2", "D4"]:
         g = enumerate_group(name)
         assert longest_element(name).mat == g.longest.mat
+
+
+def _diagram_automorphism(t):
+    # the node permutation sigma with w*(alpha_i) = -alpha_sigma(i)
+    l = t.rank
+    sigma = list(range(l))
+    if t.family == "A":
+        sigma = [l - 1 - c for c in range(l)]
+    elif t.family == "D" and l % 2 == 1:
+        sigma[l - 2], sigma[l - 1] = sigma[l - 1], sigma[l - 2]
+    elif t.family == "E" and l == 6:
+        sigma = [5, 1, 4, 3, 2, 0]
+    return sigma
+
+
+def _peeled_longest(name):
+    """Oracle: w* as the matrix -sigma, peeled down to e by its least right
+    descent (a column <= 0); the word is the peel reversed."""
+    t = LieType.parse(name)
+    c, l = cartan_matrix(t), t.rank
+    sigma = _diagram_automorphism(t)
+    wstar = tuple(tuple(-int(r == sigma[k]) for k in range(l)) for r in range(l))
+    mat, peeled = wstar, []
+    while mat != identity(l):
+        i = next(i for i in range(l) if all(row[i] <= 0 for row in mat))
+        peeled.append(i + 1)
+        mat = mat_mul(mat, simple_reflection(i + 1, c).mat)
+    return wstar, len(peeled), tuple(reversed(peeled))
+
+
+_TABLE_TYPES = (
+    [f"A{l}" for l in range(1, 16)]
+    + [f"{f}{l}" for f in "BC" for l in range(2, 16)]
+    + [f"D{l}" for l in range(4, 16)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("name", _TABLE_TYPES)
+def test_longest_element_matches_the_peel_from_minus_sigma(name):
+    w = longest_element(name)
+    assert (w.mat, w.length, w.word) == _peeled_longest(name)
 
 
 def _subword_le(uwords, wword):
