@@ -57,6 +57,11 @@ class QPoly:
     def __sub__(self, other) -> "QPoly":
         return self + (-other)
 
+    def __rsub__(self, other) -> "QPoly":
+        if (other := _lift(other)) is None:
+            return NotImplemented
+        return other + (-self)
+
     def __mul__(self, other) -> "QPoly":
         if (other := _lift(other)) is None:
             return NotImplemented

@@ -8,8 +8,11 @@ Rows are shifted through the identity dh_n/dt_1 = h_{n-1}: no symbolic
 differentiation is performed, only index shifts, and one Laplace
 expansion (multipoly.leading_minors) gives all taus of the type.
 Variables carry weight 1 each (including the extra flow parameter s of
-the D family), so minimal total degree is a plain minimum over exponent
-sums.
+the D family), so the least total degrees of all taus come from the same
+expansion graded by degree (multipoly.leading_minor_degrees), which stops
+at the first degree where every tau has a term. A TauFamily holds the
+matrix and runs that graded expansion for its degrees; it builds the
+polynomials only when they are first read.
 
 Per family the generator lists are:
   A_l : tau_k = Wr(h_l,...,h_{l-k+1}) on t_1..t_l
@@ -30,11 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 from .cartan import LieType
 from .errors import OddSquaredDegree, UnsupportedType, ZeroPolynomial
-from .multipoly import MultiPoly, det, leading_minors
+from .multipoly import MultiPoly, det, leading_minor_degrees, leading_minors
 
 PLAIN = "plain"
 SQUARED = "squared"  # stores tau^2, contributes half its degree
@@ -126,23 +130,39 @@ class TauEntry:
     kind: str  # PLAIN | SQUARED | PRODUCT
 
 
-@dataclass
+@dataclass(frozen=True)
 class TauFamily:
+    """The taus of one type: the leading principal minors of `matrix`, one
+    per kind. The least degrees are read once from the graded expansion,
+    which stops below the full polynomials; `entries`, the polynomials
+    themselves, take one full expansion on their first read."""
+
     lie_type: LieType
-    entries: tuple[TauEntry, ...]
+    matrix: list[list[MultiPoly]]
+    kinds: tuple[str, ...]
+
+    @cached_property
+    def entries(self) -> tuple[TauEntry, ...]:
+        return tuple(map(TauEntry, leading_minors(self.matrix), self.kinds))
+
+    @cached_property
+    def _least_degrees(self) -> list[int | None]:
+        return leading_minor_degrees(self.matrix)
 
     def min_degrees(self) -> tuple[int, ...]:
         """Per-tau minimal degrees, with squared/product bookkeeping resolved."""
-        degrees = [min_degree(e.poly) for e in self.entries]
+        degrees = self._least_degrees
+        if None in degrees:
+            raise ZeroPolynomial("zero polynomial has no minimal degree")
         squared_half = None
-        for e, d in zip(self.entries, degrees):
-            if e.kind == SQUARED:
+        for kind, d in zip(self.kinds, degrees):
+            if kind == SQUARED:
                 if d % 2:
                     raise OddSquaredDegree(f"squared tau has odd degree {d}")
                 squared_half = d // 2
         return tuple(
-            d if e.kind == PLAIN else d - squared_half if e.kind == PRODUCT else squared_half
-            for e, d in zip(self.entries, degrees)
+            d if kind == PLAIN else d - squared_half if kind == PRODUCT else squared_half
+            for kind, d in zip(self.kinds, degrees)
         )
 
     def multiplicity(self) -> int:
@@ -187,9 +207,7 @@ def nilpotent_tau_family(t) -> TauFamily:
     if l > _MAX_DIM:
         raise UnsupportedType(f"rank {l} needs determinants of dimension {l} > bound {_MAX_DIM}")
     active, rows, last = _FAMILIES[t.family](l)
-    minors = leading_minors(_polys(rows, active))
-    kinds = (PLAIN,) * (len(minors) - len(last)) + last
-    return TauFamily(t, tuple(map(TauEntry, minors, kinds)))
+    return TauFamily(t, _polys(rows, active), (PLAIN,) * (len(rows) - len(last)) + last)
 
 
 def min_degree(p: MultiPoly) -> int:

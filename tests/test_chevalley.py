@@ -38,12 +38,13 @@ def test_qpoly_hash_agrees_with_equality():
 def test_qpoly_takes_any_integer_as_a_constant_and_nothing_else():
     # numpy's integers register as numbers.Integral, so they lift like ints
     one, q = QPoly.one(), QPoly({1: 1})
-    assert one + 1 == 1 + one == 2 and one - 1 == 0
+    assert one + 1 == 1 + one == 2 and one - 1 == 1 - one == 0
+    assert 1 - q == QPoly({0: 1, 1: -1}) and np.int64(3) - q == 3 - q
     assert one + np.int64(1) == 2 and one == np.int64(1)
     assert q * np.int64(3) == np.int64(3) * q == 3 * q == QPoly({1: 3})
     assert q * 0 == 0 and one != "1" and one != 1.5
     for bad in ("x", 1.5, None):
-        for op in (lambda: one + bad, lambda: bad + one, lambda: q * bad, lambda: one - bad):
+        for op in (lambda: one + bad, lambda: bad + one, lambda: q * bad, lambda: one - bad, lambda: bad - one):
             with pytest.raises(TypeError):
                 op()
 

@@ -1,7 +1,9 @@
 import itertools
+import operator
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from flagcoh import multipoly, tau
@@ -177,6 +179,25 @@ def test_exact_results_store_no_zero_and_only_fractions():
         assert p.vars == vars
         assert all(type(c) is Fraction and c for c in p.terms.values()), p
     assert leading_minors([[half]])[0] == half
+
+
+def test_multipoly_takes_any_rational_as_a_constant_and_nothing_else():
+    # numpy's integers register as numbers.Rational, so they lift like ints
+    vars = ("x", "y")
+    x = MultiPoly.variable(vars, "x")
+    one = MultiPoly.constant(vars, 1)
+    assert x + 1 == 1 + x == x + one and x - 1 == x - one and 1 - x == one - x
+    assert x * np.int64(3) == np.int64(3) * x == 3 * x == x + x + x
+    assert Fraction(1, 2) * x + x * Fraction(1, 2) == x and (x * 0).is_zero() and x + 0 == x
+    for p in (x * np.int64(3), x + np.int64(1), np.int64(2) - x):
+        assert all(type(c) is Fraction and type(c.numerator) is int for c in p.terms.values())
+    for bad in ("a", 2.5, None):
+        for op in (operator.add, operator.sub, operator.mul):
+            for left, right in ((x, bad), (bad, x)):
+                with pytest.raises(TypeError):
+                    op(left, right)
+    with pytest.raises(ValueError, match="variable mismatch"):
+        x + MultiPoly.variable(("y",), "y")
 
 
 def test_multipoly_still_validates_outside_terms():
@@ -359,11 +380,11 @@ def test_unsupported_families():
 def test_odd_squared_degree_is_reported():
     from flagcoh.cartan import LieType
     from flagcoh.errors import OddSquaredDegree
-    from flagcoh.tau import TauEntry, TauFamily
+    from flagcoh.tau import TauFamily
 
     # a squared-tagged entry with odd minimal degree marks a transcription bug
     odd = MultiPoly.variable(("x",), "x")
-    fam = TauFamily(LieType("B", 2), (TauEntry(odd, SQUARED),))
+    fam = TauFamily(LieType("B", 2), [[odd]], (SQUARED,))
     with pytest.raises(OddSquaredDegree):
         fam.min_degrees()
 
@@ -441,7 +462,8 @@ def test_a_family_is_signed_schur(l):
 def test_one_expansion_per_family(monkeypatch):
     # tau.leading_minors, and det through multipoly's own name, count every
     # Laplace expansion: the bordered matrix of D holds the Wronskian as its
-    # leading block, so D needs no second one
+    # leading block, so D needs no second one, and the least degrees take
+    # none at all
     calls = []
     real = multipoly.leading_minors
 
@@ -453,5 +475,94 @@ def test_one_expansion_per_family(monkeypatch):
     monkeypatch.setattr(tau, "leading_minors", counted)
     for name, size in [("A4", 4), ("B3", 3), ("C4", 4), ("D4", 4), ("D5", 5), ("G2", 2)]:
         calls.clear()
-        nilpotent_tau_family(name)
+        nilpotent_tau_family(name).entries
         assert calls == [size], name
+        fresh = nilpotent_tau_family(name)
+        fresh.min_degrees(), fresh.multiplicity()
+        assert calls == [size], name
+
+
+def _min_degrees_from_entries(fam):
+    """min_degrees as the full expansion gives it: min_degree of each entry's
+    polynomial, with the squared and product bookkeeping written out here."""
+    degrees = [min_degree(e.poly) for e in fam.entries]
+    half = next((d // 2 for e, d in zip(fam.entries, degrees) if e.kind == SQUARED), None)
+    return tuple(
+        d if e.kind == PLAIN else half if e.kind == SQUARED else d - half
+        for e, d in zip(fam.entries, degrees)
+    )
+
+
+ORACLE_TYPES = [f"A{l}" for l in range(1, 8)] + [f"B{l}" for l in range(2, 8)] + [
+    f"C{l}" for l in range(2, 8)
+] + [f"D{l}" for l in range(4, 8)] + ["G2"]
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_graded_degrees_equal_the_full_expansion(name):
+    expected = _min_degrees_from_entries(nilpotent_tau_family(name))
+    assert nilpotent_tau_family(name).min_degrees() == expected
+
+
+def _degrees_by_expansion(m):
+    return [None if p.is_zero() else p.min_total_degree() for p in leading_minors(m)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_leading_minor_degrees_on_narrow_random_matrices(seed):
+    # the matrices of test_leading_minors_match_each_leading_submatrix
+    rng = random.Random(seed)
+    vars = ("x", "y")
+    n = 1 + seed % 5
+
+    def entry():
+        if rng.random() < 0.35:
+            return MultiPoly.zero(vars)
+        return MultiPoly(vars, {
+            (rng.randrange(3), rng.randrange(3)): Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            for _ in range(rng.randint(1, 3))
+        })
+
+    m = [[entry() for _ in range(n)] for _ in range(n)]
+    assert multipoly.leading_minor_degrees(m) == _degrees_by_expansion(m)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_leading_minor_degrees_on_wide_random_matrices(seed):
+    # the matrices of test_leading_minors_with_wide_exponents; seed 7 has a
+    # zero second row, so every minor past the first is zero
+    rng = random.Random(100 + seed)
+    vars = ("x", "y", "z")
+    n = 1 + seed % 5
+
+    def entry():
+        if rng.random() < 0.25:
+            return MultiPoly.zero(vars)
+        return MultiPoly(vars, {
+            tuple(rng.randrange(7) for _ in vars): Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 4, 7)))
+            for _ in range(rng.randint(1, 3))
+        })
+
+    m = [[entry() for _ in range(n)] for _ in range(n)]
+    if seed == 7:
+        m[1] = [MultiPoly.zero(vars)] * n
+    degrees = multipoly.leading_minor_degrees(m)
+    assert degrees == _degrees_by_expansion(m)
+    if seed == 7:
+        assert degrees[1:] == [None] * (n - 1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_leading_minor_degrees_see_cancellation(seed):
+    # no entry is zero, and a repeated row makes the determinant zero by
+    # cancellation alone
+    rng = random.Random(200 + seed)
+    vars = ("x", "y")
+    n = 3 + seed % 3
+    m = [
+        [MultiPoly(vars, {(rng.randrange(3), rng.randrange(3)): rng.randint(1, 4) for _ in range(2)}) for _ in range(n)]
+        for _ in range(n)
+    ]
+    m[-1] = list(m[rng.randrange(n - 1)])
+    degrees = multipoly.leading_minor_degrees(m)
+    assert degrees == _degrees_by_expansion(m) and degrees[-1] is None
